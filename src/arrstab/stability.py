@@ -84,8 +84,12 @@ _core_cache: dict[tuple[int, int, int, int, int], tuple[int, SymmetricFunction]]
 def _core_series(d: int, k: int, r: int, t: int, horizon: int) -> SymmetricFunction:
     """Inner piece composed into the hook series, truncated at ``horizon``.
 
-    Cached per (parities, r, t, k); a larger horizon replaces the cached
-    entry, so table runs warm the cache once at their final horizon.
+    Cached per (parities, r, t, k) with the horizon it was built at.  A
+    request within that horizon reuses the entry; a larger one rebuilds
+    the series from degree 0 and replaces it.  ``sharp_bound_certified``
+    warms every (r, t) at its own row's window, so ``table --i lo..hi``,
+    which certifies rows in ascending order with growing windows,
+    rebuilds each series once per row.
     """
     key = (d % 2, k % 2, r, t, k)
     cached = _core_cache.get(key)

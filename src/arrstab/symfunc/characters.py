@@ -1,48 +1,80 @@
-"""Symmetric group characters via the Murnaghan-Nakayama rule.
+"""The integer character table of S_n, one column per cycle type.
 
-Characters are computed on beta-numbers (first-column hook coordinates):
-removing a border strip of length m from lambda corresponds to lowering
-one beta-number by m, and the strip height is the number of beta-numbers
-jumped over.  Values are memoized keyed by (lambda, remaining classes).
+Rows are indexed by ``classes(n)``, the partitions of n in the order of
+``partitions_of(n)``; the column of the cycle type mu holds chi^lam(mu)
+for every lam, ``p(n)`` plain ints.  Columns are built on demand by the
+Murnaghan-Nakayama rule (Macdonald, I.7): removing the border strips of
+length mu_1 from lam gives chi^lam(mu) as a signed sum of entries of
+the column of mu[1:], one size smaller by mu_1.  Strip removal works on
+beta-numbers (first-column hook lengths): a strip of length m lowers one
+beta-number by m, and its height is the number of beta-numbers jumped
+over.  Each column is cached per cycle type, so a caller pays only for
+the classes it touches; nothing is built at import.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 
 from ..partitions import Partition, partitions_of
 
 
-# bounded: high-degree runs touch millions of (shape, class-suffix) pairs
-@lru_cache(maxsize=1 << 21)
-def sn_character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """Irreducible character chi^lam evaluated at the class mu."""
-    if not lam:
-        return 1 if not mu else 0
+@cache
+def classes(n: int) -> tuple[Partition, ...]:
+    """Partitions of n in table order (row labels and class labels)."""
+    return tuple(partitions_of(n))
+
+
+@cache
+def class_index(n: int) -> dict[Partition, int]:
+    """Position of each partition of n in ``classes(n)``."""
+    return {lam: j for j, lam in enumerate(classes(n))}
+
+
+@cache
+def _strips(n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each lam in ``classes(n)``: (position in ``classes(n - m)``,
+    sign) of every lam minus a border strip of length m."""
+    smaller = class_index(n - m)
+    rows = []
+    for lam in classes(n):
+        length = len(lam)
+        beta = [lam[i] + (length - 1 - i) for i in range(length)]
+        beta_set = set(beta)
+        row = []
+        for b in beta:
+            c = b - m
+            if c < 0 or c in beta_set:
+                continue
+            height = sum(1 for x in beta if c < x < b)
+            new_beta = sorted([x for x in beta if x != b] + [c], reverse=True)
+            rest = Partition(
+                x - (length - 1 - i) for i, x in enumerate(new_beta) if x > length - 1 - i
+            )
+            row.append((smaller[rest], -1 if height % 2 else 1))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@cache
+def character_column(mu: tuple[int, ...]) -> tuple[int, ...]:
+    """chi^lam(mu) for every lam in ``classes(|mu|)``, in that order."""
     if not mu:
+        return (1,)
+    sub = character_column(mu[1:])
+    return tuple(
+        sum(sign * sub[j] for j, sign in row) for row in _strips(sum(mu), mu[0])
+    )
+
+
+@cache
+def sn_character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """Irreducible character chi^lam evaluated at the class mu (0 when
+    the sizes differ): one entry of the table."""
+    n = sum(mu)
+    if sum(lam) != n:
         return 0
-    m, rest = mu[0], mu[1:]
-    length = len(lam)
-    beta = [lam[i] + (length - 1 - i) for i in range(length)]
-    beta_set = set(beta)
-    total = 0
-    for b in beta:
-        c = b - m
-        if c < 0 or c in beta_set:
-            continue
-        height = sum(1 for x in beta if c < x < b)
-        new_beta = sorted((x for x in beta if x != b), reverse=True)
-        new_beta.append(c)
-        new_beta.sort(reverse=True)
-        new_lam = tuple(
-            nb - (length - 1 - i) for i, nb in enumerate(new_beta)
-        )
-        while new_lam and new_lam[-1] == 0:
-            new_lam = new_lam[:-1]
-        sub = sn_character(new_lam, rest)
-        total += sub if height % 2 == 0 else -sub
-    return total
+    return character_column(mu)[class_index(n)[lam]]
 
 
 @cache
@@ -59,27 +91,3 @@ def zee(mu: tuple[int, ...]) -> int:
             if part:
                 out *= part
     return out
-
-
-@cache
-def schur_to_power_row(lam: Partition) -> tuple[tuple[Partition, Fraction], ...]:
-    """Expansion s_lam = sum over mu of (chi^lam(mu)/z_mu) p_mu."""
-    n = sum(lam)
-    row = []
-    for mu in partitions_of(n):
-        chi = sn_character(tuple(lam), tuple(mu))
-        if chi:
-            row.append((mu, Fraction(chi, zee(tuple(mu)))))
-    return tuple(row)
-
-
-@cache
-def power_to_schur_row(mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    """Expansion p_mu = sum over lam of chi^lam(mu) s_lam."""
-    n = sum(mu)
-    row = []
-    for lam in partitions_of(n):
-        chi = sn_character(tuple(lam), tuple(mu))
-        if chi:
-            row.append((lam, chi))
-    return tuple(row)

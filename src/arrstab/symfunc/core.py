@@ -1,14 +1,19 @@
 """Exact symmetric function arithmetic in the Schur and power-sum bases.
 
 Coefficients are exact rationals (`int` where integral, `fractions.Fraction`
-otherwise).  Basis changes go through the symmetric-group character table
-computed by the Murnaghan-Nakayama rule and are mutually inverse; Schur
+otherwise).  Basis changes are integer matrix-vector products with the
+character table of S_n (`characters`), one homogeneous degree n at a
+time: the degree's coefficients are scaled to integer numerators over
+the lcm of their denominators, accumulated in plain ints against the
+character columns, and divided once at the end (by that lcm, and for
+`to_power` also by z_mu).  The two changes are mutually inverse.  Schur
 products use Littlewood-Richardson expansion, power products concatenate
 keys.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from enum import Enum
 from fractions import Fraction
@@ -308,46 +313,32 @@ def _merge_keys(a: Partition, b: Partition) -> Partition:
     return Partition(sorted(a + b, reverse=True))
 
 
-# Schur key pairs whose smaller side exceeds this size route through the
-# power basis; direct tableau stacking wins below it.
-LR_WEIGHT_LIMIT = 14
-
-
 def mul(
     f: SymmetricFunction, g: SymmetricFunction, max_degree: int | None = None
 ) -> SymmetricFunction:
     """Exact product; result is expressed in the basis of ``f``.
 
     Schur-basis pairs expand through Littlewood-Richardson coefficients
-    (the smaller key acts as the tableau weight) unless both keys are
-    large; anything involving the power basis multiplies by key
-    concatenation.
+    (the smaller key acts as the tableau weight); anything involving the
+    power basis multiplies by key concatenation.
     """
     if not f._terms or not g._terms:
         return zero(f.basis)
     if f.basis is SCHUR and g.basis is SCHUR:
         out: dict[Partition, Coeff] = {}
-        deferred: list[tuple[Partition, Partition, Coeff]] = []
         for lam, c1 in f._terms.items():
             for mu, c2 in g._terms.items():
                 if max_degree is not None and lam.size + mu.size > max_degree:
                     continue
                 base, weight = (lam, mu) if lam.size >= mu.size else (mu, lam)
                 c = c1 * c2
-                if weight.size > LR_WEIGHT_LIMIT:
-                    deferred.append((base, weight, c))
-                    continue
                 for nu, m in lr.lr_expand(base, weight):
                     s = _norm(out.get(nu, 0) + c * m)
                     if s == 0:
                         out.pop(nu, None)
                     else:
                         out[nu] = s
-        result = SymmetricFunction._raw(SCHUR, out)
-        for base, weight, c in deferred:
-            product = mul(to_power(schur(base)), to_power(schur(weight)))
-            result = result + to_schur(product).scale(c)
-        return result
+        return SymmetricFunction._raw(SCHUR, out)
     fp, gp = to_power(f), to_power(g)
     out = {}
     gsizes = [(key, key.size, c) for key, c in gp._terms.items()]
@@ -385,33 +376,64 @@ def omega(f: SymmetricFunction) -> SymmetricFunction:
     )
 
 
+def _common_denominator(coeffs: Iterable[Coeff]) -> tuple[list[int], int]:
+    """Integer numerators of ``coeffs`` over the lcm of their denominators."""
+    coeffs = list(coeffs)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _ratio(num: int, den: int) -> Coeff:
+    """num/den as an ``int`` when it divides, else a reduced ``Fraction``."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+def _by_degree(f: SymmetricFunction) -> dict[int, list[tuple[Partition, Coeff]]]:
+    parts: dict[int, list[tuple[Partition, Coeff]]] = {}
+    for key, c in f._terms.items():
+        parts.setdefault(key.size, []).append((key, c))
+    return parts
+
+
 def to_power(f: SymmetricFunction) -> SymmetricFunction:
-    """Exact expansion in the power-sum basis."""
+    """Exact expansion in the power-sum basis.
+
+    On each degree n: the coefficient of p_mu is the dot product of the
+    Schur coefficients with the character column of mu, over z_mu.
+    """
     if f.basis is POWER:
         return f
     out: dict[Partition, Coeff] = {}
-    for lam, c in f._terms.items():
-        for mu, x in characters.schur_to_power_row(lam):
-            s = _norm(out.get(mu, 0) + c * x)
-            if s == 0:
-                out.pop(mu, None)
-            else:
-                out[mu] = s
+    for n, terms in _by_degree(f).items():
+        nums, den = _common_denominator(c for _, c in terms)
+        rows = characters.class_index(n)
+        weighted = [(rows[lam], a) for (lam, _), a in zip(terms, nums)]
+        for mu in characters.classes(n):
+            column = characters.character_column(mu)
+            x = sum(column[j] * a for j, a in weighted)
+            if x:
+                out[mu] = _ratio(x, den * characters.zee(mu))
     return SymmetricFunction._raw(POWER, out)
 
 
 def to_schur(f: SymmetricFunction) -> SymmetricFunction:
-    """Exact expansion in the Schur basis."""
+    """Exact expansion in the Schur basis.
+
+    On each degree n: the Schur coefficients are the sum of the
+    character columns of the power-sum keys, weighted by the
+    coefficients' integer numerators.
+    """
     if f.basis is SCHUR:
         return f
     out: dict[Partition, Coeff] = {}
-    for mu, c in f._terms.items():
-        for lam, x in characters.power_to_schur_row(mu):
-            s = _norm(out.get(lam, 0) + c * x)
-            if s == 0:
-                out.pop(lam, None)
-            else:
-                out[lam] = s
+    for n, terms in _by_degree(f).items():
+        nums, den = _common_denominator(c for _, c in terms)
+        acc = [0] * len(characters.classes(n))
+        for (mu, _), a in zip(terms, nums):
+            acc = [x + a * y for x, y in zip(acc, characters.character_column(mu))]
+        for lam, x in zip(characters.classes(n), acc):
+            if x:
+                out[lam] = _ratio(x, den)
     return SymmetricFunction._raw(SCHUR, out)
 
 

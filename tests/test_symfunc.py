@@ -20,7 +20,7 @@ from arrstab.symfunc import (
     to_power,
     to_schur,
 )
-from arrstab.symfunc.characters import sn_character, zee
+from arrstab.symfunc.characters import character_column, classes, sn_character, zee
 
 
 def hook_dimension(lam):
@@ -81,10 +81,21 @@ def test_character_values():
 
 
 def test_character_identity_column_is_dimension():
-    for n in range(1, 8):
+    for n in range(1, 13):
         ident = (1,) * n
+        assert character_column(ident) == tuple(hook_dimension(lam) for lam in classes(n))
         for lam in partitions_of(n):
             assert sn_character(tuple(lam), ident) == hook_dimension(lam)
+
+
+def test_character_columns_orthogonal():
+    # sum over lam of chi^lam(mu) chi^lam(nu) = z_mu if mu == nu else 0
+    for n in range(13):
+        columns = [character_column(mu) for mu in classes(n)]
+        for a, mu in enumerate(classes(n)):
+            for b in range(a, len(columns)):
+                dot = sum(x * y for x, y in zip(columns[a], columns[b]))
+                assert dot == (zee(mu) if a == b else 0), (mu, classes(n)[b])
 
 
 def test_power_of_ones_expands_by_dimensions():
@@ -107,6 +118,22 @@ def test_round_trip_degree_up_to_8():
         assert to_schur(to_power(f)) == f
         g = random_function(deg, 4, seed=100 + deg, basis=POWER, integral=False)
         assert to_power(to_schur(g)) == g
+
+
+def test_round_trip_inhomogeneous_degrees_0_to_9():
+    # one value over every degree, so each degree has its own denominator
+    f = sum(
+        (random_function(deg, 5, seed=200 + deg, integral=False) for deg in range(10)),
+        SymmetricFunction(SCHUR),
+    )
+    assert f.degrees() == list(range(10))
+    assert to_schur(to_power(f)) == f
+    g = sum(
+        (random_function(deg, 5, seed=300 + deg, basis=POWER, integral=False) for deg in range(10)),
+        SymmetricFunction(POWER),
+    )
+    assert g.degrees() == list(range(10))
+    assert to_power(to_schur(g)) == g
 
 
 def test_omega():
@@ -181,19 +208,9 @@ def test_equality_across_bases_only_for_zero():
     assert to_power(h(2)) != h(2)
 
 
-def test_mul_power_route_fallback_matches_lr():
-    import arrstab.symfunc.core as core
-
-    f = schur((4, 2, 1)) + 2 * schur((5, 2))
-    g = schur((3, 3, 2)) - schur((6, 2))
-    direct = mul(f, g)
-    saved = core.LR_WEIGHT_LIMIT
-    try:
-        core.LR_WEIGHT_LIMIT = 0
-        routed = mul(f, g)
-    finally:
-        core.LR_WEIGHT_LIMIT = saved
-    assert routed == direct
+def test_mul_one_row_pieri_at_degree_thirty():
+    expected = SymmetricFunction(SCHUR, {(30 - j, j) if j else (30,): 1 for j in range(16)})
+    assert mul(h(15), h(15)) == expected
 
 
 def test_mul_matches_power_route_degree_ten():
