@@ -10,12 +10,10 @@ to the full symmetric group, and add up.  Everything is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache
 from typing import Iterable
 
 from ..partitions import Partition, SetPartition
-from ..symfunc import POWER, SCHUR, SymmetricFunction, to_schur, zero
+from ..symfunc import POWER, SymmetricFunction, to_schur, zero
 from .groups import (
     Perm,
     class_function_to_characteristic,
@@ -182,13 +180,8 @@ def sw_complement_char(
         degree = codim - i - 2
         if rec.homology.dims.get(degree, 0) == 0:
             continue
-        traces = rec.traces(degree)
-        signs = rec.orientations(d)
-        values: dict[Perm, int] = {}
-        for cls, tr, sg in zip(rec.classes, traces, signs):
-            for g in cls:
-                values[g] = tr * sg
-        induced = induced_character(n, rec.stab, values)
+        values = [tr * sg for tr, sg in zip(rec.traces(degree), rec.orientations(d))]
+        induced = induced_character(rec.classes, values)
         total = total + class_function_to_characteristic(n, induced)
     result = to_schur(total)
     if result and not result.is_nonnegative_integral():

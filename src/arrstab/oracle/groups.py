@@ -1,9 +1,14 @@
 """Symmetric group bookkeeping: stabilizers, classes, induction, signs.
 
-Permutations are 0-indexed image tuples.  Induction to the full
-symmetric group uses the classical averaged-conjugation formula, and
-class functions turn into power-sum expansions through the cycle-type
-map.
+Permutations are 0-indexed image tuples.  A subgroup class function is
+given by one value per conjugacy class and is induced to the full
+symmetric group by the Frobenius formula
+
+    Ind chi(mu) = z_mu / |H| * sum of chi(h) over h in H of cycle type mu,
+
+read class by class.  The orientation sign of g on the normal space of a
+diagonal subspace is a product of two permutation signs, and class
+functions turn into power-sum expansions through the cycle-type map.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..partitions import Partition, SetPartition
 from ..symfunc import POWER, SymmetricFunction
@@ -37,7 +42,7 @@ def inverse(a: Perm) -> Perm:
     return tuple(out)
 
 
-def cycle_type(a: Perm) -> Partition:
+def cycle_type(a: Sequence[int]) -> Partition:
     seen = [False] * len(a)
     lengths = []
     for start in range(len(a)):
@@ -52,14 +57,9 @@ def cycle_type(a: Perm) -> Partition:
     return Partition(sorted(lengths, reverse=True))
 
 
-@cache
-def class_representative(mu: Partition) -> Perm:
-    """Canonical permutation with the given cycle type."""
-    out, start = [], 0
-    for part in mu:
-        out.extend(list(range(start + 1, start + part)) + [start])
-        start += part
-    return tuple(out)
+def sign(a: Sequence[int]) -> int:
+    """Sign of a permutation: (-1)^(size - number of cycles)."""
+    return -1 if (len(a) - len(cycle_type(a))) % 2 else 1
 
 
 def stabilizer(pi: SetPartition) -> list[Perm]:
@@ -87,87 +87,33 @@ def orientation_sign(pi: SetPartition, d: int, g: Perm) -> int:
     """Determinant sign of g acting on the orthogonal complement of the
     diagonal subspace of pi inside R^(d*n).
 
-    The complement is spanned blockwise by difference vectors; the
-    permutation matrix restricted to that basis has an integer
-    determinant of absolute value 1.
+    g has determinant sign(g)^d on R^(d*n) and sign(g on the blocks)^d
+    on the diagonal subspace, one copy of R^d per block; the complement
+    is g-invariant, so its determinant is the product of the two.
     """
     if pi.apply(g) != pi:
         raise ValueError(f"{g!r} does not stabilize {pi!r}")
-    basis_index: dict[tuple[int, int, int], int] = {}
-    for block in pi.blocks:
-        anchor = block[0]
-        for member in block[1:]:
-            for s in range(d):
-                basis_index[(anchor, member, s)] = len(basis_index)
-    size = len(basis_index)
-    if size == 0:
-        return 1
-    block_of_image = {}
-    for block in pi.blocks:
-        image = tuple(sorted(g[x - 1] + 1 for x in block))
-        for x in image:
-            block_of_image[x] = image
-    cols: list[dict[int, int]] = []
-    for block in pi.blocks:
-        anchor = block[0]
-        for member in block[1:]:
-            ga, gm = g[anchor - 1] + 1, g[member - 1] + 1
-            target = block_of_image[ga]
-            t_anchor = target[0]
-            for s in range(d):
-                col: dict[int, int] = {}
-                if gm != t_anchor:
-                    col[basis_index[(t_anchor, gm, s)]] = 1
-                if ga != t_anchor:
-                    col[basis_index[(t_anchor, ga, s)]] = -1
-                cols.append(col)
-    mat = [[Fraction(col.get(r, 0)) for col in cols] for r in range(size)]
-    det = Fraction(1)
-    for step in range(size):
-        pivot_row = next((r for r in range(step, size) if mat[r][step]), None)
-        if pivot_row is None:
-            raise AssertionError("singular orientation matrix")
-        if pivot_row != step:
-            mat[step], mat[pivot_row] = mat[pivot_row], mat[step]
-            det = -det
-        piv = mat[step][step]
-        det *= piv
-        for r in range(step + 1, size):
-            if mat[r][step]:
-                factor = mat[r][step] / piv
-                for c in range(step, size):
-                    mat[r][c] -= factor * mat[step][c]
-    return 1 if det > 0 else -1
+    owner = pi.block_of()
+    on_blocks = [owner[g[block[0] - 1] + 1] for block in pi.blocks]
+    return (sign(g) * sign(on_blocks)) ** d
 
 
 def induced_character(
-    n: int, subgroup: Sequence[Perm], values: dict[Perm, Fraction | int]
+    classes: Sequence[Sequence[Perm]], values: Sequence[Fraction | int]
 ) -> dict[Partition, Fraction]:
     """Induce a subgroup class function up to the symmetric group.
 
-    Evaluates (1/|H|) * sum over x with x g x^-1 in H of the subgroup
-    value, once per cycle type of the big group.
+    ``classes`` are the subgroup's conjugacy classes and ``values[j]``
+    is the function's value on ``classes[j]``.  The result holds the
+    induced value at every cycle type that meets the subgroup; it
+    vanishes at every other type.
     """
-    members = set(subgroup)
-    order = len(members)
-    big = symmetric_group(n)
-    out: dict[Partition, Fraction] = {}
-    for mu in _all_types(n):
-        g = class_representative(mu)
-        total = 0
-        for x in big:
-            conj = compose(compose(x, g), inverse(x))
-            if conj in members:
-                total += values[conj]
-        out[mu] = Fraction(total, order)
-    return out
-
-
-@cache
-def _all_types(n: int) -> tuple[Partition, ...]:
-    from ..partitions import partitions_of
-
-    return tuple(partitions_of(n))
+    order = sum(len(cls) for cls in classes)
+    sums: dict[Partition, Fraction | int] = {}
+    for cls, val in zip(classes, values, strict=True):
+        mu = cycle_type(cls[0])
+        sums[mu] = sums.get(mu, 0) + len(cls) * val
+    return {mu: Fraction(zee(tuple(mu)) * s, order) for mu, s in sums.items()}
 
 
 def class_function_to_characteristic(

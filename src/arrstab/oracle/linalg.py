@@ -1,16 +1,15 @@
-"""Exact sparse Gaussian elimination over the rationals.
+"""Exact sparse Gaussian elimination over the integers.
 
-Rows are integer dicts (column -> value) kept gcd-reduced; pivots are
-chosen by a lazy min-heap on live column counts, which keeps fill low on
-boundary-matrix style inputs.  Kernel bases come out of back
-substitution through the retired pivot rows, one vector per free
-column, with the free coordinate normalized for coefficient extraction.
+Rows are integer dicts (column -> value).  Each incoming row is reduced
+by the stored pivot row of its least column until that column is new to
+the echelon form; it is then stored gcd-reduced as the pivot row of that
+column.  Kernel bases come from integer back substitution through the
+pivot rows in descending pivot order, one vector per free column, scaled
+so that every solved entry is integral.
 """
 
 from __future__ import annotations
 
-import heapq
-from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
@@ -50,85 +49,51 @@ def eliminate(
     ``rows`` are homogeneous equations over variables 0..ncols-1.  The
     kernel basis has one vector per non-pivot column.
     """
-    work: list[dict[int, int] | None] = []
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        if row:
-            r = dict(row)
-            _reduce_row(r)
-            work.append(r)
-    col_rows: dict[int, set[int]] = {}
-    for idx, row in enumerate(work):
-        for c in row:
-            col_rows.setdefault(c, set()).add(idx)
-    heap = [(len(ids), c) for c, ids in col_rows.items()]
-    heapq.heapify(heap)
-    pivot_cols: set[int] = set()
-    retired: list[tuple[int, dict[int, int]]] = []
-
-    def unindex(idx: int, row: dict[int, int]) -> None:
-        for c in row:
-            ids = col_rows.get(c)
-            if ids is not None:
-                ids.discard(idx)
-
-    while heap:
-        cnt, c = heapq.heappop(heap)
-        ids = col_rows.get(c)
-        if c in pivot_cols or ids is None or not ids:
-            continue
-        if len(ids) != cnt:
-            heapq.heappush(heap, (len(ids), c))
-            continue
-        ridx = min(ids, key=lambda r: (len(work[r]), abs(work[r][c]), r))
-        prow = work[ridx]
-        unindex(ridx, prow)
-        work[ridx] = None
-        pivot_cols.add(c)
-        retired.append((c, prow))
-        piv = prow[c]
-        for other in list(col_rows.get(c, ())):
-            row = work[other]
-            b = row[c]
-            g = gcd(piv, b)
-            fa, fb = piv // g, b // g
-            unindex(other, row)
-            new = {col: v * fa for col, v in row.items()}
+        r = {c: v for c, v in row.items() if v}
+        while r:
+            c = min(r)
+            prow = pivots.get(c)
+            if prow is None:
+                _reduce_row(r)
+                pivots[c] = r
+                break
+            g = gcd(prow[c], r[c])
+            fa, fb = prow[c] // g, r[c] // g
+            new = {col: v * fa for col, v in r.items()}
             for col, v in prow.items():
                 s = new.get(col, 0) - v * fb
-                if s == 0:
-                    new.pop(col, None)
-                else:
+                if s:
                     new[col] = s
-            if new:
-                _reduce_row(new)
-                work[other] = new
-                for col in new:
-                    ids2 = col_rows.setdefault(col, set())
-                    ids2.add(other)
-                    heapq.heappush(heap, (len(ids2), col))
-            else:
-                work[other] = None
-        col_rows.pop(c, None)
+                else:
+                    del new[col]
+            r = new
 
-    rank = len(retired)
+    rank = len(pivots)
     if not want_kernel:
         return rank, None
 
+    order = sorted(pivots, reverse=True)
     kernel: list[KernelVector] = []
     for f in range(ncols):
-        if f in pivot_cols:
+        if f in pivots:
             continue
-        vec: dict[int, Fraction] = {f: Fraction(1)}
-        for c, prow in reversed(retired):
-            s = Fraction(0)
-            for col, v in prow.items():
-                if col != c and col in vec:
-                    s += v * vec[col]
-            if s:
-                vec[c] = -s / prow[c]
-        denom = 1
+        vec = {f: 1}
+        for c in order:
+            prow = pivots[c]
+            s = sum(v * vec[col] for col, v in prow.items() if col in vec)
+            if not s:
+                continue
+            p = prow[c]
+            scale = abs(p) // gcd(s, p)
+            if scale > 1:
+                for col in vec:
+                    vec[col] *= scale
+            vec[c] = -s * scale // p
+        g = 0
         for v in vec.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        entries = {c: int(v * denom) for c, v in vec.items() if v}
-        kernel.append(KernelVector(f, entries, denom))
+            g = gcd(g, v)
+        entries = {col: v // g for col, v in vec.items()}
+        kernel.append(KernelVector(f, entries, entries[f]))
     return rank, kernel

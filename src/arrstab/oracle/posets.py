@@ -55,10 +55,6 @@ class PiLambdaLattice:
     def __contains__(self, el: SetPartition) -> bool:
         return el in self.index
 
-    def leq(self, a: SetPartition, b: SetPartition) -> bool:
-        ia, ib = self.index[a], self.index[b]
-        return ia == ib or ia in self.strictly_below[ib]
-
     def open_interval(self, top: SetPartition) -> list[SetPartition]:
         """Elements strictly between the bottom and ``top``."""
         it = self.index[top]

@@ -11,11 +11,11 @@ rational bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
-from .partitions import LambdaSet, Partition
+from .partitions import LambdaSet
 from .symfunc import (
     SCHUR,
     SymmetricFunction,
@@ -101,22 +101,22 @@ def _core_series(d: int, k: int, r: int, t: int, horizon: int) -> SymmetricFunct
     return series
 
 
-def psi_degree_part(params: PsiParams, min_horizon: int = 0) -> SymmetricFunction:
+def psi_degree_part(params: PsiParams) -> SymmetricFunction:
     """The degree-(n-q) Schur factor of the summand (before the h_q pad)."""
     n, q, r, t, d, k = params.n, params.q, params.r, params.t, params.d, params.k
     target = n - q
     if target < t * k:
         return zero(SCHUR)
-    series = _core_series(d, k, r, t, max(target, min_horizon))
+    series = _core_series(d, k, r, t, target)
     piece = series.homogeneous_part(target)
     if d % 2 == 0:
         piece = omega(piece)
     return to_schur(piece)
 
 
-def psi(params: PsiParams, min_horizon: int = 0) -> SymmetricFunction:
+def psi(params: PsiParams) -> SymmetricFunction:
     """One summand of the k-equal characteristic (Schur basis)."""
-    part = psi_degree_part(params, min_horizon)
+    part = psi_degree_part(params)
     if not part:
         return part
     return mul(part, h(params.q))
@@ -154,9 +154,7 @@ def kequal_summands(n: int, i: int, d: int, k: int) -> list[PsiParams]:
     return out
 
 
-def kequal_char(
-    n: int, i: int, d: int, k: int, min_horizon: int = 0
-) -> SymmetricFunction:
+def kequal_char(n: int, i: int, d: int, k: int) -> SymmetricFunction:
     """Characteristic of the degree-i cohomology of the k-equal complement.
 
     Exact, homogeneous of degree n, and checked to have nonnegative
@@ -174,7 +172,7 @@ def kequal_char(
         return cached
     total = zero(SCHUR)
     for params in kequal_summands(n, i, d, k):
-        total = total + psi(params, min_horizon)
+        total = total + psi(params)
     _check_character(total, n, f"kequal_char(n={n}, i={i}, d={d}, k={k})")
     _kequal_cache[cache_key] = total
     return total
@@ -308,7 +306,7 @@ def sharp_bound_certified(
 
     chars: dict[int, SymmetricFunction] = {}
     for n in range(1, window + 1):
-        chars[n] = kequal_char(n, i, d, k, min_horizon=window)
+        chars[n] = kequal_char(n, i, d, k)
         if progress is not None:
             progress(f"n={n} support={len(chars[n])}")
     stable_steps = {

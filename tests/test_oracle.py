@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -22,7 +23,7 @@ from arrstab.oracle.groups import (
 )
 from arrstab.oracle.homology import IntervalHomology
 from arrstab.oracle.linalg import eliminate
-from arrstab.partitions import Partition, SetPartition
+from arrstab.partitions import Partition, SetPartition, all_set_partitions
 from arrstab.stability import kequal_char
 from arrstab.symfunc import (
     e,
@@ -30,6 +31,7 @@ from arrstab.symfunc import (
     mul,
     p,
     partition_homology_character,
+    plethysm,
     schur,
     to_schur,
 )
@@ -48,6 +50,53 @@ def test_eliminate_rank_and_kernel():
     x = {c: Fraction(v, vec.norm) for c, v in vec.entries.items()}
     for row in rows:
         assert sum(x.get(c, 0) * v for c, v in row.items()) == 0
+
+
+def _dense_rank(rows, ncols):
+    """Rank by Gauss-Jordan elimination on a dense Fraction matrix."""
+    mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                factor = mat[r][col] / mat[rank][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_eliminate_random_sparse_systems(seed):
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 12)
+    rows = [{}]
+    for _ in range(rng.randint(0, 14)):
+        # randint may draw 0: explicit zero entries stay in the row
+        cols = rng.sample(range(ncols), rng.randint(0, min(5, ncols)))
+        rows.append({c: rng.randint(-3, 3) for c in cols})
+        if rng.random() < 0.3:
+            rows.append(dict(rng.choice(rows)))
+        if rng.random() < 0.2:
+            rows.append({c: -2 * v for c, v in rng.choice(rows).items()})
+    rng.shuffle(rows)
+    before = [dict(row) for row in rows]
+    rank, kernel = eliminate(rows, ncols, want_kernel=True)
+    assert rows == before
+    assert rank == _dense_rank(rows, ncols)
+    assert eliminate(rows, ncols) == (rank, None)
+    assert len(kernel) == ncols - rank
+    free = {kv.free_col for kv in kernel}
+    assert len(free) == len(kernel)
+    for kv in kernel:
+        assert kv.entries[kv.free_col] == kv.norm != 0
+        assert not (free - {kv.free_col}) & kv.entries.keys()
+        assert all(0 <= c < ncols for c in kv.entries)
+        for row in rows:
+            assert sum(v * kv.entries.get(c, 0) for c, v in row.items()) == 0
 
 
 def test_lattice_two_equal_is_everything():
@@ -196,6 +245,45 @@ def test_orientation_signs():
         orientation_sign(pi, 2, (2, 1, 0, 3))
 
 
+def _orientation_det(pi, d, g):
+    """Determinant of g on the difference vectors e(m, s) - e(a, s) of
+    R^(d*n), a the least element of the block of m and s < d."""
+    basis = [(b[0], m, s) for b in pi.blocks for m in b[1:] for s in range(d)]
+    index = {vec: j for j, vec in enumerate(basis)}
+    anchor = {x: b[0] for b in pi.blocks for x in b}
+    size = len(basis)
+    mat = [[Fraction(0)] * size for _ in range(size)]
+    for j, (a, m, s) in enumerate(basis):
+        ga, gm = g[a - 1] + 1, g[m - 1] + 1
+        t = anchor[ga]
+        # g(e_m - e_a) = (e_gm - e_t) - (e_ga - e_t)
+        if gm != t:
+            mat[index[(t, gm, s)]][j] += 1
+        if ga != t:
+            mat[index[(t, ga, s)]][j] -= 1
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if mat[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det *= mat[col][col]
+        for r in range(col + 1, size):
+            factor = mat[r][col] / mat[col][col]
+            mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
+    return det
+
+
+def test_orientation_sign_matches_determinant():
+    for n in range(1, 6):
+        for pi in all_set_partitions(n):
+            for g in stabilizer(pi):
+                for d in (1, 2, 3):
+                    assert orientation_sign(pi, d, g) == _orientation_det(pi, d, g)
+
+
 def test_orientation_constant_on_classes():
     pi = SetPartition(6, [[1, 2, 3], [4, 5, 6]])
     for cls in conjugacy_classes(stabilizer(pi)):
@@ -204,19 +292,28 @@ def test_orientation_constant_on_classes():
 
 
 def test_induced_character_trivial_from_young_subgroup():
-    stab = stabilizer(SetPartition(3, [[1, 2], [3]]))
-    values = {g: 1 for g in stab}
-    induced = induced_character(3, stab, values)
+    classes = conjugacy_classes(stabilizer(SetPartition(3, [[1, 2], [3]])))
+    induced = induced_character(classes, [1] * len(classes))
     ch = class_function_to_characteristic(3, induced)
     assert to_schur(ch) == mul(h(2), h(1))
 
 
 def test_induced_character_sign():
-    group = list(symmetric_group(4))
-    values = {g: (-1) ** (4 - len(cycle_type(g))) for g in group}
-    induced = induced_character(4, group, values)
+    classes = conjugacy_classes(symmetric_group(4))
+    values = [(-1) ** (4 - len(cycle_type(cls[0]))) for cls in classes]
+    induced = induced_character(classes, values)
     assert class_function_to_characteristic(4, induced) != 0
     assert to_schur(class_function_to_characteristic(4, induced)) == e(4)
+
+
+def test_induced_character_trivial_from_wreath_product():
+    # the stabilizer of {12}{34} has two classes of cycle type (2, 2):
+    # (12)(34) and the two block swaps (13)(24), (14)(23)
+    classes = conjugacy_classes(stabilizer(SetPartition(4, [[1, 2], [3, 4]])))
+    assert sum(cycle_type(cls[0]) == Partition((2, 2)) for cls in classes) == 2
+    induced = induced_character(classes, [1] * len(classes))
+    ch = to_schur(class_function_to_characteristic(4, induced))
+    assert ch == to_schur(plethysm(h(2), h(2))) == schur((4,)) + schur((2, 2))
 
 
 def test_sw_pure_braid_rank_one():
@@ -236,6 +333,12 @@ def test_sw_vanishing_below_rank_threshold():
 def test_sw_matches_formula_anchor():
     types = [Partition((3,))]
     assert sw_complement_char(3, 2, types, 3) == kequal_char(3, 3, 2, 3)
+
+
+def test_sw_matches_formula_k3_n7():
+    types = [Partition((3, 1, 1, 1, 1))]
+    for i in range(14):
+        assert kequal_char(7, i, 2, 3) == sw_complement_char(7, 2, types, i, limit=7)
 
 
 def test_sw_limit():
