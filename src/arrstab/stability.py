@@ -3,9 +3,11 @@
 The degree-i characteristic at n points is assembled as a finite sum of
 summands psi(n, q, r, t); each summand is a parity-dependent plethysm of
 a Lie-series piece into a hook series, restricted in degree and padded
-by a one-row factor.  Stabilization of the resulting sequence is
-detected by the add-a-box comparison and certified against the proven
-rational bounds.
+by a one-row factor h_q.  The degree equation fixes the restricted
+degree at m = n - q = r + (i - t(k-2))/(d-1), independent of n, so each
+summand needs the one degree m of its core series, computed and cached
+once.  Stabilization of the resulting sequence is detected by the
+add-a-box comparison and certified against the proven rational bounds.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 from .partitions import LambdaSet
@@ -28,6 +31,7 @@ from .symfunc import (
     omega,
     plethysm,
     signed_homology_series,
+    to_power,
     to_schur,
     zero,
 )
@@ -63,55 +67,46 @@ class PsiParams:
         return (self.d - 1) * (self.n - self.r - self.q) + self.t * (self.k - 2)
 
 
-def _inner_piece(d: int, k: int, r: int, t: int) -> SymmetricFunction:
-    """Degree-t inner factor, before composing with the hook series."""
-    if d % 2 == 0:
-        base = plethysm(e(r), lie_series(t), max_degree=t)
+@cache
+def _inner_piece(d_parity: int, k: int, r: int, t: int) -> SymmetricFunction:
+    """Degree-t inner factor in the power basis, before composing with
+    the hook series."""
+    if d_parity == 0:
+        base = plethysm(to_power(e(r)), lie_series(t), max_degree=t)
         if k % 2 == 1:
             base = omega(base)
     elif k % 2 == 0:
-        base = plethysm(h(r), lie_series(t), max_degree=t)
+        base = plethysm(to_power(h(r)), lie_series(t), max_degree=t)
     else:
-        base = plethysm(h(r), signed_homology_series(t), max_degree=t)
+        base = plethysm(to_power(h(r)), signed_homology_series(t), max_degree=t)
         if t % 2 == 1:
             base = -base
     return base.homogeneous_part(t)
 
 
-_core_cache: dict[tuple[int, int, int, int, int], tuple[int, SymmetricFunction]] = {}
+@cache
+def _core_piece(d_parity: int, k: int, r: int, t: int, m: int) -> SymmetricFunction:
+    """Degree-m part of the inner piece composed into the hook series,
+    omega-twisted for even d, in the Schur basis.
 
-
-def _core_series(d: int, k: int, r: int, t: int, horizon: int) -> SymmetricFunction:
-    """Inner piece composed into the hook series, truncated at ``horizon``.
-
-    Cached per (parities, r, t, k) with the horizon it was built at.  A
-    request within that horizon reuses the entry; a larger one rebuilds
-    the series from degree 0 and replaces it.  ``sharp_bound_certified``
-    warms every (r, t) at its own row's window, so ``table --i lo..hi``,
-    which certifies rows in ascending order with growing windows,
-    rebuilds each series once per row.
+    Each of the t hook factors has degree at least k, so hooks above
+    degree m - (t-1)k never reach degree m.
     """
-    key = (d % 2, k % 2, r, t, k)
-    cached = _core_cache.get(key)
-    if cached is not None and cached[0] >= horizon:
-        return cached[1]
-    inner = _inner_piece(d, k, r, t)
-    series = plethysm(inner, hook_series(k, horizon), max_degree=horizon)
-    _core_cache[key] = (horizon, series)
-    return series
+    series = plethysm(
+        _inner_piece(d_parity, k, r, t), hook_series(k, m - (t - 1) * k), max_degree=m
+    )
+    piece = series.homogeneous_part(m)
+    if d_parity == 0:
+        piece = omega(piece)
+    return to_schur(piece)
 
 
 def psi_degree_part(params: PsiParams) -> SymmetricFunction:
     """The degree-(n-q) Schur factor of the summand (before the h_q pad)."""
-    n, q, r, t, d, k = params.n, params.q, params.r, params.t, params.d, params.k
-    target = n - q
-    if target < t * k:
+    m = params.n - params.q
+    if m < params.t * params.k:
         return zero(SCHUR)
-    series = _core_series(d, k, r, t, target)
-    piece = series.homogeneous_part(target)
-    if d % 2 == 0:
-        piece = omega(piece)
-    return to_schur(piece)
+    return _core_piece(params.d % 2, params.k, params.r, params.t, m)
 
 
 def psi(params: PsiParams) -> SymmetricFunction:
@@ -129,9 +124,6 @@ def _check_character(f: SymmetricFunction, degree: int, context: str) -> None:
         raise AssertionError(f"{context}: expected homogeneous degree {degree}, got {f.degrees()}")
     if not f.is_nonnegative_integral():
         raise AssertionError(f"{context}: coefficients are not nonnegative integers: {f}")
-
-
-_kequal_cache: dict[tuple[int, int, int, int], SymmetricFunction] = {}
 
 
 def kequal_summands(n: int, i: int, d: int, k: int) -> list[PsiParams]:
@@ -154,6 +146,7 @@ def kequal_summands(n: int, i: int, d: int, k: int) -> list[PsiParams]:
     return out
 
 
+@cache
 def kequal_char(n: int, i: int, d: int, k: int) -> SymmetricFunction:
     """Characteristic of the degree-i cohomology of the k-equal complement.
 
@@ -166,15 +159,10 @@ def kequal_char(n: int, i: int, d: int, k: int) -> SymmetricFunction:
         raise ValueError("n must be at least 1")
     if i < 0:
         raise ValueError("i must be nonnegative")
-    cache_key = (n, i, d, k)
-    cached = _kequal_cache.get(cache_key)
-    if cached is not None:
-        return cached
     total = zero(SCHUR)
     for params in kequal_summands(n, i, d, k):
         total = total + psi(params)
     _check_character(total, n, f"kequal_char(n={n}, i={i}, d={d}, k={k})")
-    _kequal_cache[cache_key] = total
     return total
 
 
@@ -299,10 +287,6 @@ def sharp_bound_certified(
     theorem_horizon = math.floor(min(bounds))
     window = theorem_horizon if horizon is None else horizon
     certified = window >= theorem_horizon
-
-    for t in range(1, window // k + 1):
-        for r in range(1, t + 1):
-            _core_series(d, k, r, t, window)
 
     chars: dict[int, SymmetricFunction] = {}
     for n in range(1, window + 1):

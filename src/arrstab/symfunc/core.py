@@ -313,9 +313,7 @@ def _merge_keys(a: Partition, b: Partition) -> Partition:
     return Partition(sorted(a + b, reverse=True))
 
 
-def mul(
-    f: SymmetricFunction, g: SymmetricFunction, max_degree: int | None = None
-) -> SymmetricFunction:
+def mul(f: SymmetricFunction, g: SymmetricFunction) -> SymmetricFunction:
     """Exact product; result is expressed in the basis of ``f``.
 
     Schur-basis pairs expand through Littlewood-Richardson coefficients
@@ -328,8 +326,6 @@ def mul(
         out: dict[Partition, Coeff] = {}
         for lam, c1 in f._terms.items():
             for mu, c2 in g._terms.items():
-                if max_degree is not None and lam.size + mu.size > max_degree:
-                    continue
                 base, weight = (lam, mu) if lam.size >= mu.size else (mu, lam)
                 c = c1 * c2
                 for nu, m in lr.lr_expand(base, weight):
@@ -341,12 +337,8 @@ def mul(
         return SymmetricFunction._raw(SCHUR, out)
     fp, gp = to_power(f), to_power(g)
     out = {}
-    gsizes = [(key, key.size, c) for key, c in gp._terms.items()]
     for k1, c1 in fp._terms.items():
-        s1 = k1.size
-        for k2, s2, c2 in gsizes:
-            if max_degree is not None and s1 + s2 > max_degree:
-                continue
+        for k2, c2 in gp._terms.items():
             key = _merge_keys(k1, k2)
             s = _norm(out.get(key, 0) + c1 * c2)
             if s == 0:

@@ -1,15 +1,13 @@
 """Exhaustive summand identities on the grid n <= 12, d in {2,3}, k <= 6.
 
 Checks the recursion and vanishing laws of the summands and the d-even
-first-row bound, with every summand evaluated from scratch through the
-plethysm pipeline.
+first-row bound, with every summand evaluated through the plethysm
+pipeline.
 """
-
-from fractions import Fraction
 
 import pytest
 
-from arrstab.stability import PsiParams, psi, psi_degree_part
+from helpers import check_first_row_bound, check_summand_laws
 
 GRID = [(d, k) for d in (2, 3) for k in range(d + 1, 7)]
 N_MAX = 12
@@ -17,43 +15,9 @@ N_MAX = 12
 
 @pytest.mark.parametrize("d,k", GRID)
 def test_summand_laws(d, k):
-    cache = {}
-
-    def value(n, q, r, t):
-        key = (n, q, r, t)
-        if key not in cache:
-            cache[key] = psi(PsiParams(n=n, q=q, r=r, t=t, d=d, k=k))
-        return cache[key]
-
-    for n in range(1, N_MAX + 1):
-        for q in range(0, n + 1):
-            for t in range(1, n + 1):
-                for r in range(1, n + 1):
-                    params = PsiParams(n=n, q=q, r=r, t=t, d=d, k=k)
-                    i = params.i
-                    here = value(n, q, r, t)
-
-                    if r > t or t * k > n:
-                        assert not here, (n, q, r, t)
-                    if n >= 2 and 2 * q > n:
-                        prev = value(n - 1, q - 1, r, t)
-                        assert here == prev.add_box(), (n, q, r, t)
-                    if d % 2 == 0 and n >= 2 and q > t * k:
-                        prev = value(n - 1, q - 1, r, t)
-                        assert here == prev.add_box(), (n, q, r, t)
-                    if 2 * q <= n and n * (d - 1) > 2 * i:
-                        assert not here, (n, q, r, t)
-                    if k >= d + 2 and q <= t * k and n * (k - d - 1) > k * i:
-                        assert not here, (n, q, r, t)
+    check_summand_laws(d, k, N_MAX)
 
 
 @pytest.mark.parametrize("d,k", [(d, k) for d, k in GRID if d % 2 == 0])
 def test_first_row_bound_even_d(d, k):
-    for n in range(k, N_MAX + 1):
-        for q in range(0, n + 1):
-            for t in range(1, n // k + 1):
-                for r in range(1, t + 1):
-                    params = PsiParams(n=n, q=q, r=r, t=t, d=d, k=k)
-                    part = psi_degree_part(params)
-                    for key in part.support():
-                        assert key[0] <= t * k, (n, q, r, t, key)
+    check_first_row_bound(d, k, N_MAX)

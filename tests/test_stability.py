@@ -6,6 +6,8 @@ import pytest
 from arrstab.partitions import LambdaSet, Partition
 from arrstab.stability import (
     PsiParams,
+    _core_piece,
+    _inner_piece,
     StabilityReport,
     general_bound,
     is_stable_step,
@@ -16,7 +18,17 @@ from arrstab.stability import (
     sharp_bound_certified,
     theorem_bounds,
 )
-from arrstab.symfunc import SCHUR, SymmetricFunction, e, h, schur
+from arrstab.symfunc import (
+    SCHUR,
+    SymmetricFunction,
+    e,
+    h,
+    hook_series,
+    omega,
+    plethysm,
+    schur,
+    to_schur,
+)
 
 
 def test_params_validation():
@@ -166,3 +178,31 @@ def test_degrees_below_first_tabulated_row_are_vacuous():
             assert report.vacuous, (k, i)
         report = sharp_bound_certified(2, k, start)
         assert not report.vacuous, k
+
+
+def test_summand_degree_independent_of_n():
+    # the cached core-series degree of a summand depends on (i, r, t) only
+    for d in (2, 3, 4):
+        for k in range(d + 1, d + 4):
+            for i in range(13):
+                seen = {}
+                for n in range(1, 21):
+                    for p in kequal_summands(n, i, d, k):
+                        m = p.n - p.q
+                        assert m == p.r + (i - p.t * (k - 2)) // (d - 1), (d, k, i, p)
+                        assert seen.setdefault((p.r, p.t), m) == m, (d, k, i, p)
+
+
+def test_core_piece_matches_untruncated_hook_series():
+    top = 16
+    for d in (2, 3):
+        for k in range(d + 1, 6):
+            for t in range(1, top // k + 1):
+                for r in range(1, t + 1):
+                    inner = _inner_piece(d % 2, k, r, t)
+                    full = plethysm(inner, hook_series(k, top), max_degree=top)
+                    for m in range(t * k, top + 1):
+                        part = full.homogeneous_part(m)
+                        if d % 2 == 0:
+                            part = omega(part)
+                        assert _core_piece(d % 2, k, r, t, m) == to_schur(part), (d, k, r, t, m)
