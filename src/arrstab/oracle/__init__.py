@@ -10,6 +10,7 @@ to the full symmetric group, and add up.  Everything is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterable
 
 from ..partitions import Partition, SetPartition
@@ -18,7 +19,6 @@ from .groups import (
     Perm,
     class_function_to_characteristic,
     conjugacy_classes,
-    cycle_type,
     induced_character,
     orientation_sign,
     stabilizer,
@@ -64,15 +64,6 @@ class EquivariantCharacter:
     classes: tuple[tuple[Perm, int], ...]
     values: dict[int, tuple[int, ...]]
 
-    def dimension(self, degree: int) -> int:
-        vals = self.values.get(degree)
-        if vals is None:
-            return 0
-        identity_pos = next(
-            idx for idx, (rep, _) in enumerate(self.classes) if cycle_type(rep).rank == 0
-        )
-        return vals[identity_pos]
-
 
 class _TypeRecord:
     """Per-orbit data: interval homology plus stabilizer structure."""
@@ -81,15 +72,12 @@ class _TypeRecord:
         self.type = mu
         self.rep = lattice.canonical_of_type(mu)
         self.homology = IntervalHomology(lattice.open_interval(self.rep))
-        self.stab = stabilizer(self.rep)
-        self.classes = conjugacy_classes(self.stab)
+        self.classes = conjugacy_classes(stabilizer(self.rep))
+        order = sum(len(cls) for cls in self.classes)
         orbit = len(lattice.elements_of_type(mu))
-        order = 1
-        for m in range(2, lattice.n + 1):
-            order *= m
-        if orbit * len(self.stab) != order:
+        if orbit * order != factorial(lattice.n):
             raise AssertionError(
-                f"type {mu!r}: orbit {orbit} x stabilizer {len(self.stab)} != {lattice.n}!"
+                f"type {mu!r}: orbit {orbit} x stabilizer {order} != {lattice.n}!"
             )
         self._traces: dict[int, list[int]] = {}
         self._orientations: dict[int, list[int]] = {}

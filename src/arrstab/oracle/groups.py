@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import permutations, product
 from typing import Sequence
 
 from ..partitions import Partition, SetPartition
@@ -28,18 +28,6 @@ Perm = tuple[int, ...]
 @cache
 def symmetric_group(n: int) -> tuple[Perm, ...]:
     return tuple(permutations(range(n)))
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """a after b."""
-    return tuple(a[x] for x in b)
-
-
-def inverse(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
 
 
 def cycle_type(a: Sequence[int]) -> Partition:
@@ -63,19 +51,48 @@ def sign(a: Sequence[int]) -> int:
 
 
 def stabilizer(pi: SetPartition) -> list[Perm]:
-    """All permutations fixing the set partition blockwise-setwise."""
-    return [g for g in symmetric_group(pi.n) if pi.apply(g) == pi]
+    """All permutations fixing the set partition blockwise-setwise,
+    sorted: any permutation of the blocks of each size, then any
+    bijection from each block onto its image block."""
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for block in pi.blocks:
+        by_size.setdefault(len(block), []).append(block)
+    factors = []
+    for blocks in by_size.values():
+        sources = [x - 1 for block in blocks for x in block]
+        factors.append([
+            (sources, [y - 1 for image in images for y in image])
+            for order in permutations(blocks)
+            for images in product(*map(permutations, order))
+        ])
+    group = []
+    for choice in product(*factors):
+        g = [0] * pi.n
+        for sources, targets in choice:
+            for x, y in zip(sources, targets):
+                g[x] = y
+        group.append(tuple(g))
+    group.sort()
+    return group
 
 
 def conjugacy_classes(group: Sequence[Perm]) -> list[list[Perm]]:
-    """Conjugacy classes of a subgroup, each sorted, ordered by least rep."""
+    """Conjugacy classes of a subgroup, each sorted, ordered by least rep.
+
+    The conjugate x g x^-1 sends x[i] to x[g[i]], so no inverse is formed.
+    """
     members = set(group)
     classes = []
     seen: set[Perm] = set()
     for g in sorted(members):
         if g in seen:
             continue
-        orbit = {compose(compose(x, g), inverse(x)) for x in members}
+        orbit = set()
+        conj = [0] * len(g)
+        for x in members:
+            for i, gi in enumerate(g):
+                conj[x[i]] = x[gi]
+            orbit.add(tuple(conj))
         if not orbit <= members:
             raise ValueError("conjugation left the subgroup: not closed")
         seen |= orbit

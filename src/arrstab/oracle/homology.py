@@ -2,11 +2,19 @@
 
 Simplices are chains of poset elements; the boundary is the usual
 alternating face sum, augmented by the empty simplex in degree -1, so
-the empty complex has one-dimensional homology there.  Group traces on
-homology are read off harmonic representatives: in each degree the
-kernel of the stacked system (boundary conditions plus orthogonality to
-the next boundary image) is a g-invariant copy of homology, because the
-permutation action of the group on chains is orthogonal.
+the empty complex has one-dimensional homology there.  Each boundary
+map is column-reduced once, from the top degree down, with the lows
+found one degree higher cleared (``linalg.eliminate``).  Reducing the
+boundaries of the j-simplices gives the rank of that map, the echelon
+of the boundaries in degree j-1, and one cycle z_tau for every
+essential j-simplex tau: a column that reduces to zero without having
+been cleared.  These cycles span homology in degree j.
+
+The lows of the boundary echelon and of the essential cycles are
+distinct and together span the cycles, so a symmetry's trace is read
+off without solving anything: g*z_tau is reduced from the top against
+them until its largest index is at most tau, and what is left at tau,
+over z_tau[tau], is the coefficient of z_tau.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..partitions import SetPartition
-from .linalg import KernelVector, eliminate
+from .linalg import cancel_factors, combine, eliminate
 
 
 class IntervalHomology:
@@ -31,12 +39,10 @@ class IntervalHomology:
         self.vertices = sorted(vertices, key=lambda el: (el.type().rank, el.blocks))
         self.vertex_index = {el: i for i, el in enumerate(self.vertices)}
         nverts = len(self.vertices)
+        owners = [el.block_of() for el in self.vertices]
+        # vertices are sorted by rank, so only later ones can be coarser
         above = [
-            [
-                j
-                for j in range(nverts)
-                if j != i and self.vertices[i].is_refinement_of(self.vertices[j])
-            ]
+            [j for j in range(i + 1, nverts) if self.vertices[i].refines(owners[j])]
             for i in range(nverts)
         ]
         self.simplices: dict[int, list[tuple[int, ...]]] = {-1: [()]}
@@ -49,64 +55,32 @@ class IntervalHomology:
             frontier = [ch + (m,) for ch in frontier for m in above[ch[-1]]]
             dim += 1
         self.top = dim - 1
-        self._ranks: dict[int, int] = {}
-        self._kernels: dict[int, list[KernelVector]] = {}
-        self.dims = self._homology_dims()
+
+        dims: dict[int, int] = {}
+        self._cycles: dict[int, dict[int, dict[int, int]]] = {}
+        self._basis: dict[int, dict[int, dict[int, int]]] = {}
+        boundaries: dict[int, dict[int, int]] = {}
+        for j in range(self.top, -1, -1):
+            echelon, cycles = eliminate(self._boundary_columns(j), cleared=boundaries)
+            if cycles:
+                dims[j] = len(cycles)
+                self._cycles[j] = cycles
+                self._basis[j] = boundaries | cycles
+            boundaries = echelon
+        if not boundaries:
+            dims[-1] = 1
+        self.dims = dict(sorted(dims.items()))
 
     def chain_count(self, degree: int) -> int:
         return len(self.simplices.get(degree, ()))
 
-    def _boundary_rows(self, j: int) -> list[dict[int, int]]:
-        """Equations of the boundary map out of degree j, one row per
-        (j-1)-simplex."""
-        rows: list[dict[int, int]] = [dict() for _ in self.simplices[j - 1]]
+    def _boundary_columns(self, j: int) -> list[dict[int, int]]:
+        """The boundary of each j-simplex over the (j-1)-simplices."""
         face_index = self.index[j - 1]
-        for col, s in enumerate(self.simplices[j]):
-            for pos in range(len(s)):
-                face = s[:pos] + s[pos + 1 :]
-                rows[face_index[face]][col] = 1 if pos % 2 == 0 else -1
-        return rows
-
-    def _coface_rows(self, j: int) -> list[dict[int, int]]:
-        """One row per (j+1)-simplex: the support of its boundary in
-        degree j (orthogonality constraints against boundaries)."""
-        rows = []
-        index_j = self.index[j]
-        for s in self.simplices.get(j + 1, ()):
-            row = {}
-            for pos in range(len(s)):
-                face = s[:pos] + s[pos + 1 :]
-                row[index_j[face]] = 1 if pos % 2 == 0 else -1
-            rows.append(row)
-        return rows
-
-    def boundary_rank(self, j: int) -> int:
-        """Rank of the boundary map from degree j to degree j-1."""
-        if j < 0 or j > self.top:
-            return 0
-        if j not in self._ranks:
-            rank, _ = eliminate(self._boundary_rows(j), self.chain_count(j))
-            self._ranks[j] = rank
-        return self._ranks[j]
-
-    def _homology_dims(self) -> dict[int, int]:
-        dims = {}
-        h_empty = 1 - self.boundary_rank(0)
-        if h_empty:
-            dims[-1] = h_empty
-        for j in range(0, self.top + 1):
-            hj = self.chain_count(j) - self.boundary_rank(j) - self.boundary_rank(j + 1)
-            if hj:
-                dims[j] = hj
-        return dims
-
-    def _kernel(self, j: int) -> list[KernelVector]:
-        if j not in self._kernels:
-            rows = self._boundary_rows(j) + self._coface_rows(j)
-            _, kernel = eliminate(rows, self.chain_count(j), want_kernel=True)
-            assert kernel is not None and len(kernel) == self.dims.get(j, 0)
-            self._kernels[j] = kernel
-        return self._kernels[j]
+        return [
+            {face_index[s[:pos] + s[pos + 1 :]]: -1 if pos % 2 else 1 for pos in range(len(s))}
+            for s in self.simplices[j]
+        ]
 
     def vertex_map(self, perm: tuple[int, ...]) -> list[int]:
         """Action of a symmetric-group element on the vertex indices."""
@@ -115,9 +89,10 @@ class IntervalHomology:
     def trace(self, degree: int, perm: tuple[int, ...]) -> int:
         """Trace of the permutation on reduced homology in ``degree``.
 
-        The coefficient of each harmonic basis vector k inside g*k is
-        k evaluated at the preimage of its unit coordinate, so the trace
-        is a sum of single lookups.
+        Each essential cycle z_tau is moved by the permutation and
+        reduced from the top; the fraction-free steps multiply it by
+        ``scale``, so the coefficient of z_tau is x[tau] / (scale *
+        z_tau[tau]).
         """
         if self.dims.get(degree, 0) == 0:
             return 0
@@ -126,14 +101,25 @@ class IntervalHomology:
         vmap = self.vertex_map(perm)
         simp = self.simplices[degree]
         idx = self.index[degree]
-        inverse = [0] * len(simp)
-        for a, s in enumerate(simp):
-            inverse[idx[tuple(vmap[v] for v in s)]] = a
+        basis = self._basis[degree]
+        cycles = self._cycles[degree]
+        # the cycles share most of their chains: move each chain once
+        moved = {
+            a: idx[tuple(map(vmap.__getitem__, simp[a]))]
+            for a in set().union(*cycles.values())
+        }
         total = Fraction(0)
-        for kv in self._kernel(degree):
-            val = kv.entries.get(inverse[kv.free_col])
-            if val:
-                total += Fraction(val, kv.norm)
+        for tau, z in cycles.items():
+            x = {moved[a]: val for a, val in z.items()}
+            scale = 1
+            while x:
+                low = max(x)
+                if low <= tau:
+                    break
+                a, b = cancel_factors(basis[low][low], x[low])
+                combine(a, x, b, basis[low])
+                scale *= a
+            total += Fraction(x.get(tau, 0), scale * z[tau])
         if total.denominator != 1:
             raise AssertionError(f"non-integral homology trace {total}")
         return int(total)

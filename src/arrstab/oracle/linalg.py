@@ -1,99 +1,89 @@
-"""Exact sparse Gaussian elimination over the integers.
+"""Exact sparse column reduction over the integers.
 
-Rows are integer dicts (column -> value).  Each incoming row is reduced
-by the stored pivot row of its least column until that column is new to
-the echelon form; it is then stored gcd-reduced as the pivot row of that
-column.  Kernel bases come from integer back substitution through the
-pivot rows in descending pivot order, one vector per free column, scaled
-so that every solved entry is integral.
+Columns are integer dicts (row -> value), reduced left to right as in
+the standard persistence algorithm: while a column's largest row index
+(its low) is the low of an earlier reduced column, the two are combined
+fraction-free so that the low cancels.  A column whose low is new is
+stored, gcd-reduced, as the echelon column of that row.  Every column
+carries its relation vector, the combination of input columns it now
+equals; a column that reduces to zero leaves that relation, a kernel
+vector whose largest index is the column itself.  Columns named as
+cleared are skipped: in a chain complex these are the lows of the
+degree above, which are known to reduce to zero (the clearing twist of
+Chen and Kerber).
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable
+from typing import Container, Sequence
 
 
-def _reduce_row(row: dict[int, int]) -> None:
+def cancel_factors(p: int, q: int) -> tuple[int, int]:
+    """The least a > 0 and the b with a*q == b*p: a*x - b*y cancels an
+    entry where x holds q and y holds p."""
+    g = gcd(p, q)
+    a, b = p // g, q // g
+    return (a, b) if a > 0 else (-a, -b)
+
+
+def combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> None:
+    """Set x to a*x - b*y in place, keeping no zero entries."""
+    if a != 1:
+        for i in x:
+            x[i] *= a
+    for i, v in y.items():
+        s = x.get(i, 0) - b * v
+        if s:
+            x[i] = s
+        else:
+            del x[i]
+
+
+def _divide_content(*vectors: dict[int, int]) -> None:
     g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
+    for vec in vectors:
+        for v in vec.values():
+            g = gcd(g, v)
+            if g == 1:
+                return
     if g > 1:
-        for c in row:
-            row[c] //= g
-
-
-class KernelVector:
-    """Sparse kernel vector with a designated unit coordinate.
-
-    ``entries[free_col] == norm`` and every other free column is absent,
-    so the coefficient of this basis vector inside any kernel element x
-    is x[free_col] / norm.
-    """
-
-    __slots__ = ("free_col", "entries", "norm")
-
-    def __init__(self, free_col: int, entries: dict[int, int], norm: int):
-        self.free_col = free_col
-        self.entries = entries
-        self.norm = norm
+        for vec in vectors:
+            for i in vec:
+                vec[i] //= g
 
 
 def eliminate(
-    rows: Iterable[dict[int, int]], ncols: int, want_kernel: bool = False
-) -> tuple[int, list[KernelVector] | None]:
-    """Rank of the sparse system, optionally with a kernel basis.
+    columns: Sequence[dict[int, int]], cleared: Container[int] = ()
+) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
+    """Reduce the columns; return the echelon and the relations.
 
-    ``rows`` are homogeneous equations over variables 0..ncols-1.  The
-    kernel basis has one vector per non-pivot column.
+    The echelon maps each pivot row to the reduced column whose low it
+    is; its size is the rank of the non-cleared columns.  The relations
+    map each non-cleared column that reduces to zero to an integer
+    vector over column indices, with that column as its largest index,
+    which the input columns send to zero.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        r = {c: v for c, v in row.items() if v}
-        while r:
-            c = min(r)
-            prow = pivots.get(c)
-            if prow is None:
-                _reduce_row(r)
-                pivots[c] = r
-                break
-            g = gcd(prow[c], r[c])
-            fa, fb = prow[c] // g, r[c] // g
-            new = {col: v * fa for col, v in r.items()}
-            for col, v in prow.items():
-                s = new.get(col, 0) - v * fb
-                if s:
-                    new[col] = s
-                else:
-                    del new[col]
-            r = new
-
-    rank = len(pivots)
-    if not want_kernel:
-        return rank, None
-
-    order = sorted(pivots, reverse=True)
-    kernel: list[KernelVector] = []
-    for f in range(ncols):
-        if f in pivots:
+    echelon: dict[int, dict[int, int]] = {}
+    pivot_relations: dict[int, dict[int, int]] = {}
+    relations: dict[int, dict[int, int]] = {}
+    for c, column in enumerate(columns):
+        if c in cleared:
             continue
-        vec = {f: 1}
-        for c in order:
-            prow = pivots[c]
-            s = sum(v * vec[col] for col, v in prow.items() if col in vec)
-            if not s:
-                continue
-            p = prow[c]
-            scale = abs(p) // gcd(s, p)
-            if scale > 1:
-                for col in vec:
-                    vec[col] *= scale
-            vec[c] = -s * scale // p
-        g = 0
-        for v in vec.values():
-            g = gcd(g, v)
-        entries = {col: v // g for col, v in vec.items()}
-        kernel.append(KernelVector(f, entries, entries[f]))
-    return rank, kernel
+        col = {i: v for i, v in column.items() if v}
+        rel = {c: 1}
+        while col:
+            low = max(col)
+            pivot = echelon.get(low)
+            if pivot is None:
+                _divide_content(col, rel)
+                echelon[low] = col
+                pivot_relations[low] = rel
+                break
+            a, b = cancel_factors(pivot[low], col[low])
+            combine(a, col, b, pivot)
+            combine(a, rel, b, pivot_relations[low])
+        else:
+            _divide_content(rel)
+            relations[c] = rel
+    return echelon, relations

@@ -40,14 +40,11 @@ class PiLambdaLattice:
         self.index: dict[SetPartition, int] = {
             el: i for i, el in enumerate(self.elements)
         }
-        self.strictly_below: list[set[int]] = []
-        for i, el in enumerate(self.elements):
-            below = {
-                j
-                for j, other in enumerate(self.elements)
-                if j != i and other.is_refinement_of(el)
-            }
-            self.strictly_below.append(below)
+        # elements are sorted by rank, so only earlier ones can be finer
+        self.strictly_below: list[set[int]] = [
+            {j for j in range(i) if self.elements[j].refines(owner)}
+            for i, owner in enumerate(el.block_of() for el in self.elements)
+        ]
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -161,12 +161,21 @@ class SetPartition:
                 out[x] = idx
         return out
 
+    def refines(self, owner: dict[int, int]) -> bool:
+        """Whether every block of ``self`` sits inside one block of the
+        set partition whose ``block_of()`` is ``owner``."""
+        for block in self.blocks:
+            first = owner[block[0]]
+            for x in block[1:]:
+                if owner[x] != first:
+                    return False
+        return True
+
     def is_refinement_of(self, other: "SetPartition") -> bool:
         """Whether every block of ``self`` sits inside a block of ``other``."""
         if self.n != other.n:
             raise ValueError("set partitions of different ground sets")
-        owner = other.block_of()
-        return all(len({owner[x] for x in block}) == 1 for block in self.blocks)
+        return self.refines(other.block_of())
 
     def __le__(self, other: "SetPartition") -> bool:
         return self.is_refinement_of(other)

@@ -42,61 +42,140 @@ def full_lattice(n):
 
 
 def test_eliminate_rank_and_kernel():
-    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}]
-    rank, kernel = eliminate(rows, 3, want_kernel=True)
-    assert rank == 2
-    assert len(kernel) == 1
-    vec = kernel[0]
-    x = {c: Fraction(v, vec.norm) for c, v in vec.entries.items()}
-    for row in rows:
-        assert sum(x.get(c, 0) * v for c, v in row.items()) == 0
+    columns = [{0: 1, 2: 1}, {0: 1, 1: 1}, {1: 1, 2: -1}]
+    echelon, relations = eliminate(columns)
+    assert len(echelon) == 2
+    assert list(relations) == [2]
+    rel = relations[2]
+    assert max(rel) == 2
+    for r in range(3):
+        assert sum(v * columns[c].get(r, 0) for c, v in rel.items()) == 0
 
 
-def _dense_rank(rows, ncols):
-    """Rank by Gauss-Jordan elimination on a dense Fraction matrix."""
+def _rref(rows, ncols):
+    """Gauss-Jordan elimination on a dense Fraction matrix: the reduced
+    rows and the pivot column of each of the first len(pivots) rows."""
     mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
-    rank = 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        lead = mat[rank][col]
+        mat[rank] = [a / lead for a in mat[rank]]
         for r in range(len(mat)):
             if r != rank and mat[r][col]:
-                factor = mat[r][col] / mat[rank][col]
+                factor = mat[r][col]
                 mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return mat, pivots
+
+
+def _dense_rank(rows, ncols):
+    return len(_rref(rows, ncols)[1])
+
+
+def _apply(columns, vec):
+    """The combination of the sparse columns with coefficients vec."""
+    out = {}
+    for c, v in vec.items():
+        for r, x in columns[c].items():
+            out[r] = out.get(r, 0) + v * x
+    return {r: x for r, x in out.items() if x}
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_eliminate_random_sparse_systems(seed):
     rng = random.Random(seed)
-    ncols = rng.randint(1, 12)
-    rows = [{}]
+    nrows = rng.randint(1, 12)
+    columns = [{}]
     for _ in range(rng.randint(0, 14)):
-        # randint may draw 0: explicit zero entries stay in the row
-        cols = rng.sample(range(ncols), rng.randint(0, min(5, ncols)))
-        rows.append({c: rng.randint(-3, 3) for c in cols})
+        # randint may draw 0: explicit zero entries stay in the column
+        rows = rng.sample(range(nrows), rng.randint(0, min(5, nrows)))
+        columns.append({r: rng.randint(-3, 3) for r in rows})
         if rng.random() < 0.3:
-            rows.append(dict(rng.choice(rows)))
+            columns.append(dict(rng.choice(columns)))
         if rng.random() < 0.2:
-            rows.append({c: -2 * v for c, v in rng.choice(rows).items()})
-    rng.shuffle(rows)
-    before = [dict(row) for row in rows]
-    rank, kernel = eliminate(rows, ncols, want_kernel=True)
-    assert rows == before
-    assert rank == _dense_rank(rows, ncols)
-    assert eliminate(rows, ncols) == (rank, None)
-    assert len(kernel) == ncols - rank
-    free = {kv.free_col for kv in kernel}
-    assert len(free) == len(kernel)
-    for kv in kernel:
-        assert kv.entries[kv.free_col] == kv.norm != 0
-        assert not (free - {kv.free_col}) & kv.entries.keys()
-        assert all(0 <= c < ncols for c in kv.entries)
-        for row in rows:
-            assert sum(v * kv.entries.get(c, 0) for c, v in row.items()) == 0
+            columns.append({r: -2 * v for r, v in rng.choice(columns).items()})
+    rng.shuffle(columns)
+    cleared = set(rng.sample(range(len(columns)), rng.randint(0, len(columns) // 3)))
+    before = [dict(col) for col in columns]
+    echelon, relations = eliminate(columns, cleared)
+    assert columns == before
+    kept = [col for c, col in enumerate(columns) if c not in cleared]
+    rank = _dense_rank(kept, nrows)
+    assert len(echelon) == rank
+    assert len(relations) == len(kept) - rank
+    assert not cleared & relations.keys()
+    # a cleared column acts as a zero column that leaves no relation
+    blanked = [{} if c in cleared else col for c, col in enumerate(columns)]
+    assert eliminate(blanked) == (
+        echelon,
+        {**relations, **{c: {c: 1} for c in cleared}},
+    )
+    for low, col in echelon.items():
+        assert max(col) == low and col[low] != 0
+        assert all(v for v in col.values())
+        assert _dense_rank(kept + [col], nrows) == rank
+    for c, rel in relations.items():
+        assert max(rel) == c and rel[c] != 0
+        assert not cleared & rel.keys()
+        assert _apply(columns, rel) == {}
+
+
+def _boundary_matrix(hom, j):
+    """Dense rows of the boundary from degree j to degree j-1."""
+    faces = hom.index[j - 1]
+    rows = [dict() for _ in range(hom.chain_count(j - 1))]
+    for c, s in enumerate(hom.simplices[j]):
+        for pos in range(len(s)):
+            face = faces[s[:pos] + s[pos + 1 :]]
+            rows[face][c] = rows[face].get(c, 0) + (-1) ** pos
+    return rows
+
+
+def _dense_cycles(hom, j):
+    """Kernel basis of the boundary out of degree j, by free column f:
+    each vector is 1 at f and 0 at the other free columns."""
+    if j > hom.top:
+        return {}
+    mat, pivots = _rref(_boundary_matrix(hom, j), hom.chain_count(j))
+    free = sorted(set(range(hom.chain_count(j))) - set(pivots))
+    return {
+        f: {f: 1, **{p: -mat[r][f] for r, p in enumerate(pivots) if mat[r][f]}}
+        for f in free
+    }
+
+
+def _cycle_trace(hom, j, cycles, g):
+    """Trace of g on the cycles: the coefficient of basis vector k in
+    g*k is k at the preimage of its free column."""
+    vmap = hom.vertex_map(g)
+    preimage = {
+        hom.index[j][tuple(vmap[v] for v in s)]: a
+        for a, s in enumerate(hom.simplices.get(j, ()))
+    }
+    return sum(k.get(preimage[f], 0) for f, k in cycles.items())
+
+
+def test_traces_match_dense_reference():
+    # the k=3, n=6 top interval has homology in two adjacent degrees
+    lat = build_pi_lambda(6, [Partition((3, 1, 1, 1))])
+    rep = lat.canonical_of_type(Partition((6,)))
+    hom = IntervalHomology(lat.open_interval(rep))
+    assert hom.dims == {1: 10, 2: 10}
+    assert hom.chain_count(1) == 170
+    cycles = {j: _dense_cycles(hom, j) for j in range(0, hom.top + 2)}
+    for cls in conjugacy_classes(stabilizer(rep)):
+        g = cls[0]
+        for j in range(0, hom.top + 1):
+            # trace on homology = on cycles - on boundaries, and the
+            # boundaries of degree j are the chains of degree j+1 modulo
+            # their cycles
+            above = hom.trace_on_chains(j + 1, g) - _cycle_trace(hom, j + 1, cycles[j + 1], g)
+            assert hom.trace(j, g) == _cycle_trace(hom, j, cycles[j], g) - above
 
 
 def test_lattice_two_equal_is_everything():
@@ -137,20 +216,9 @@ def test_boundary_squares_to_zero():
     top = lat.canonical_of_type(Partition((5,)))
     hom = IntervalHomology(lat.open_interval(top))
     for j in range(1, hom.top + 1):
-        rows = hom._boundary_rows(j)
-        # compose with the previous boundary: image vectors must be cycles
-        prev = hom._boundary_rows(j - 1)
-        for col in range(hom.chain_count(j)):
-            image = {}
-            for ridx, row in enumerate(rows):
-                if col in row:
-                    image[ridx] = row[col]
-            acc = {}
-            for face, sign in image.items():
-                for r2, row2 in enumerate(prev):
-                    if face in row2:
-                        acc[r2] = acc.get(r2, 0) + sign * row2[face]
-            assert all(v == 0 for v in acc.values())
+        prev = hom._boundary_columns(j - 1)
+        for column in hom._boundary_columns(j):
+            assert _apply(prev, column) == {}
 
 
 def test_interval_homology_small_lattices():
@@ -208,12 +276,15 @@ def test_hopf_trace_identity():
 
 
 def test_homology_character_constant_on_classes():
-    lat = full_lattice(4)
-    rep = lat.canonical_of_type(Partition((4,)))
-    hom = IntervalHomology(lat.open_interval(rep))
-    for cls in conjugacy_classes(stabilizer(rep)):
-        values = {hom.trace(1, g) for g in cls}
-        assert len(values) == 1
+    k4 = full_lattice(4)
+    k3 = build_pi_lambda(6, [Partition((3, 1, 1, 1))])
+    for lat, n in ((k4, 4), (k3, 6)):
+        rep = lat.canonical_of_type(Partition((n,)))
+        hom = IntervalHomology(lat.open_interval(rep))
+        for cls in conjugacy_classes(stabilizer(rep)):
+            for j in hom.dims:
+                values = {hom.trace(j, g) for g in cls}
+                assert len(values) == 1
 
 
 def test_partition_lattice_top_character_matches_closed_form():
@@ -227,6 +298,27 @@ def test_partition_lattice_top_character_matches_closed_form():
             values[cycle_type(rep)] = tr
         ch = class_function_to_characteristic(n, values)
         assert to_schur(ch) == to_schur(partition_homology_character(n))
+
+
+def test_stabilizer_matches_filter_of_symmetric_group():
+    for n in range(1, 6):
+        for pi in all_set_partitions(n):
+            assert stabilizer(pi) == [g for g in symmetric_group(n) if pi.apply(g) == pi]
+
+
+def test_conjugacy_classes_are_orbits():
+    group = stabilizer(SetPartition(5, [[1, 2], [3, 4], [5]]))
+    classes = conjugacy_classes(group)
+    assert sorted(g for cls in classes for g in cls) == group
+    for cls in classes:
+        g = cls[0]
+        orbit = set()
+        for x in group:
+            inv = [0] * len(x)
+            for i, xi in enumerate(x):
+                inv[xi] = i
+            orbit.add(tuple(x[g[inv[i]]] for i in range(len(x))))
+        assert cls == sorted(orbit)
 
 
 def test_orientation_signs():
@@ -341,6 +433,13 @@ def test_sw_matches_formula_k3_n7():
         assert kequal_char(7, i, 2, 3) == sw_complement_char(7, 2, types, i, limit=7)
 
 
+@pytest.mark.parametrize("d,k", [(2, 4), (3, 5)])
+def test_sw_matches_formula_n8(d, k):
+    types = [Partition((k,) + (1,) * (8 - k))]
+    for i in range(d * 8):
+        assert kequal_char(8, i, d, k) == sw_complement_char(8, d, types, i, limit=8)
+
+
 def test_sw_limit():
     with pytest.raises(OracleLimitError):
         sw_complement_char(7, 2, [Partition((2,) + (1,) * 5)], 1)
@@ -380,5 +479,6 @@ def test_equivariant_character_identity_value_is_dimension():
     for mu in lat.types_present():
         rep = lat.canonical_of_type(mu)
         dims, char = interval_homology(lat, rep)
+        identity = [cycle_type(g).rank for g, _ in char.classes].index(0)
         for j, dim in dims.items():
-            assert char.dimension(j) == dim
+            assert char.values[j][identity] == dim
