@@ -256,15 +256,19 @@ def cmd_verify(args) -> int:
     if (args.k is None) == (args.lambda_spec is None):
         raise UsageError("verify needs exactly one of --k or --lambda")
     limit = args.oracle_limit if args.oracle_limit is not None else _default_oracle_limit()
-    if args.n_max > limit:
-        raise OracleLimitError(
-            f"--n-max {args.n_max} exceeds the oracle limit {limit}"
-        )
+    if limit < 1:
+        raise UsageError(f"the oracle limit must be positive, not {limit}")
     if args.k is not None:
         n_lo, mode, spec = args.k, "k", args.k
     else:
         lam = LambdaSet.parse(args.lambda_spec)
         n_lo, mode, spec = lam.n0, "lambda", args.lambda_spec
+    if args.n_max < n_lo:
+        raise UsageError(f"--n-max {args.n_max} is below the first size {n_lo}: nothing to verify")
+    if args.n_max > limit:
+        raise OracleLimitError(
+            f"--n-max {args.n_max} exceeds the oracle limit {limit}"
+        )
     tasks = [(mode, args.d, spec, n, limit) for n in range(n_lo, args.n_max + 1)]
     rows = []
     if args.jobs > 1:

@@ -22,6 +22,7 @@ from .groups import (
     induced_character,
     orientation_sign,
     stabilizer,
+    stabilizer_generators,
 )
 from .homology import IntervalHomology
 from .linalg import eliminate
@@ -72,7 +73,7 @@ class _TypeRecord:
         self.type = mu
         self.rep = lattice.canonical_of_type(mu)
         self.homology = IntervalHomology(lattice.open_interval(self.rep))
-        self.classes = conjugacy_classes(stabilizer(self.rep))
+        self.classes = conjugacy_classes(stabilizer(self.rep), stabilizer_generators(self.rep))
         order = sum(len(cls) for cls in self.classes)
         orbit = len(lattice.elements_of_type(mu))
         if orbit * order != factorial(lattice.n):
@@ -130,7 +131,7 @@ def interval_homology(
         raise ValueError("the bottom element has no interval below it")
     hom = IntervalHomology(lattice.open_interval(pi))
     stab = stabilizer(pi)
-    classes = conjugacy_classes(stab)
+    classes = conjugacy_classes(stab, stabilizer_generators(pi))
     values = {
         j: tuple(hom.trace(j, cls[0]) for cls in classes) for j in hom.dims
     }

@@ -50,18 +50,23 @@ def sign(a: Sequence[int]) -> int:
     return -1 if (len(a) - len(cycle_type(a))) % 2 else 1
 
 
+def _blocks_by_size(pi: SetPartition) -> list[list[tuple[int, ...]]]:
+    """The 0-indexed blocks of pi, grouped by size."""
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for block in pi.blocks:
+        by_size.setdefault(len(block), []).append(tuple(x - 1 for x in block))
+    return list(by_size.values())
+
+
 def stabilizer(pi: SetPartition) -> list[Perm]:
     """All permutations fixing the set partition blockwise-setwise,
     sorted: any permutation of the blocks of each size, then any
     bijection from each block onto its image block."""
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for block in pi.blocks:
-        by_size.setdefault(len(block), []).append(block)
     factors = []
-    for blocks in by_size.values():
-        sources = [x - 1 for block in blocks for x in block]
+    for blocks in _blocks_by_size(pi):
+        sources = [x for block in blocks for x in block]
         factors.append([
-            (sources, [y - 1 for image in images for y in image])
+            (sources, [y for image in images for y in image])
             for order in permutations(blocks)
             for images in product(*map(permutations, order))
         ])
@@ -76,8 +81,29 @@ def stabilizer(pi: SetPartition) -> list[Perm]:
     return group
 
 
-def conjugacy_classes(group: Sequence[Perm]) -> list[list[Perm]]:
-    """Conjugacy classes of a subgroup, each sorted, ordered by least rep.
+def stabilizer_generators(pi: SetPartition) -> list[Perm]:
+    """Generators of the stabilizer, a product of wreath products
+    S_b wr S_m: for each block size b, a transposition and a b-cycle in
+    the first block of that size, and the swap and the m-cycle of the
+    blocks of that size.  Conjugating by the block moves carries the
+    first block's generators to every other block."""
+    gens = set()
+    for blocks in _blocks_by_size(pi):
+        for cycles in ([blocks[0][:2]], [blocks[0]], zip(*blocks[:2]), zip(*blocks)):
+            g = list(range(pi.n))
+            for cycle in cycles:
+                for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                    g[x] = y
+            gens.add(tuple(g))
+    gens.discard(tuple(range(pi.n)))
+    return sorted(gens)
+
+
+def conjugacy_classes(group: Sequence[Perm], generators: Sequence[Perm]) -> list[list[Perm]]:
+    """Conjugacy classes of ``group``, which ``generators`` generate,
+    each sorted, ordered by least rep.  They are the orbits under
+    conjugation by the generators, so finding them costs |group| times
+    the number of generators in conjugations.
 
     The conjugate x g x^-1 sends x[i] to x[g[i]], so no inverse is formed.
     """
@@ -87,14 +113,18 @@ def conjugacy_classes(group: Sequence[Perm]) -> list[list[Perm]]:
     for g in sorted(members):
         if g in seen:
             continue
-        orbit = set()
-        conj = [0] * len(g)
-        for x in members:
-            for i, gi in enumerate(g):
-                conj[x[i]] = x[gi]
-            orbit.add(tuple(conj))
-        if not orbit <= members:
-            raise ValueError("conjugation left the subgroup: not closed")
+        orbit, frontier = {g}, [g]
+        for h in frontier:
+            for x in generators:
+                conj = [0] * len(h)
+                for i, hi in enumerate(h):
+                    conj[x[i]] = x[hi]
+                conj = tuple(conj)
+                if conj not in orbit:
+                    if conj not in members:
+                        raise ValueError("conjugation left the subgroup: not closed")
+                    orbit.add(conj)
+                    frontier.append(conj)
         seen |= orbit
         classes.append(sorted(orbit))
     return classes

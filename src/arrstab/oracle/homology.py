@@ -37,7 +37,7 @@ class IntervalHomology:
 
     def __init__(self, vertices: Sequence[SetPartition]):
         self.vertices = sorted(vertices, key=lambda el: (el.type().rank, el.blocks))
-        self.vertex_index = {el: i for i, el in enumerate(self.vertices)}
+        self.vertex_index = {el.labels(): i for i, el in enumerate(self.vertices)}
         nverts = len(self.vertices)
         owners = [el.block_of() for el in self.vertices]
         # vertices are sorted by rank, so only later ones can be coarser
@@ -83,8 +83,18 @@ class IntervalHomology:
         ]
 
     def vertex_map(self, perm: tuple[int, ...]) -> list[int]:
-        """Action of a symmetric-group element on the vertex indices."""
-        return [self.vertex_index[v.apply(perm)] for v in self.vertices]
+        """Action of a symmetric-group element on the vertex indices:
+        each block moves onto the block labelled by its least image."""
+        out = []
+        image = [0] * len(perm)
+        for v in self.vertices:
+            for block in v.blocks:
+                moved = [perm[x - 1] for x in block]
+                low = min(moved)
+                for y in moved:
+                    image[y] = low
+            out.append(self.vertex_index[tuple(image)])
+        return out
 
     def trace(self, degree: int, perm: tuple[int, ...]) -> int:
         """Trace of the permutation on reduced homology in ``degree``.

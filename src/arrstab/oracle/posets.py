@@ -8,7 +8,7 @@ in a deterministic order with precomputed strict-order sets.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..partitions import Partition, SetPartition, all_set_partitions
 
@@ -29,7 +29,7 @@ class PiLambdaLattice:
     of elements strictly finer than element i.
     """
 
-    def __init__(self, n: int, elements: Sequence[SetPartition]):
+    def __init__(self, n: int, elements: Iterable[SetPartition]):
         self.n = n
         bottom = SetPartition.bottom(n)
         rest = sorted(
@@ -83,7 +83,7 @@ def build_pi_lambda(
     """Join closure of all set partitions of the given types, plus bottom.
 
     ``types`` are partitions of n; closure is by repeated pairwise join
-    until stable.
+    until stable, on block labels (``SetPartition.labels``).
     """
     limit = DEFAULT_LATTICE_LIMIT if limit is None else limit
     if n > limit:
@@ -92,16 +92,32 @@ def build_pi_lambda(
     for t in types:
         if t.size != n:
             raise ValueError(f"type {t!r} is not a partition of {n}")
-    generators = [sp for sp in all_set_partitions(n) if sp.type() in types]
-    closed: set[SetPartition] = set(generators)
+    generators = [sp.labels() for sp in all_set_partitions(n) if sp.type() in types]
+    closed = set(generators)
     frontier = list(generators)
     while frontier:
         fresh = []
         for a in frontier:
             for b in generators:
-                j = a.join(b)
+                j = _join_labels(a, b)
                 if j not in closed:
                     closed.add(j)
                     fresh.append(j)
         frontier = fresh
-    return PiLambdaLattice(n, closed)
+    return PiLambdaLattice(n, map(SetPartition.from_labels, closed))
+
+
+def _join_labels(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Join of two set partitions given by block labels, the least
+    element of each position's block: a union-find in which every
+    element points at a smaller one, so the roots are the labels."""
+    parent = list(a)
+    for x, y in enumerate(b):
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        parent[max(x, y)] = min(x, y)
+    for x, p in enumerate(parent):
+        parent[x] = parent[p]
+    return tuple(parent)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class Partition(tuple):
@@ -205,6 +205,23 @@ class SetPartition:
         for x in range(1, self.n + 1):
             groups.setdefault(find(x), []).append(x)
         return SetPartition(self.n, groups.values())
+
+    def labels(self) -> tuple[int, ...]:
+        """Block labels, 0-indexed: entry x-1 is the least element of
+        x's block, less one."""
+        label = [0] * self.n
+        for block in self.blocks:
+            for x in block:
+                label[x - 1] = block[0] - 1
+        return tuple(label)
+
+    @classmethod
+    def from_labels(cls, labels: Sequence[int]) -> "SetPartition":
+        """Inverse of ``labels``."""
+        groups: dict[int, list[int]] = {}
+        for x, label in enumerate(labels, start=1):
+            groups.setdefault(label, []).append(x)
+        return cls(len(labels), groups.values())
 
     def apply(self, perm: tuple[int, ...]) -> "SetPartition":
         """Relabel by a permutation given as a 0-indexed image tuple."""

@@ -162,6 +162,26 @@ def test_oracle_limit_env(monkeypatch):
     assert code == EXIT_OK
 
 
+def test_verify_refuses_empty_range():
+    for case in (["--k", "5"], ["--lambda", "[2,2]"]):
+        code, out, err = run_cli("verify", "--d", "2", *case, "--n-max", "3")
+        assert code == EXIT_USAGE and out == ""
+        assert "below the first size" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_oracle_limit_option_is_usage_error(value):
+    code, _, err = run_cli("verify", "--d", "2", "--k", "3", "--n-max", "3", "--oracle-limit", value)
+    assert code == EXIT_USAGE and "usage error" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_oracle_limit_env_is_usage_error(monkeypatch, value):
+    monkeypatch.setenv("ARRSTAB_ORACLE_LIMIT", value)
+    code, _, err = run_cli("verify", "--d", "2", "--k", "3", "--n-max", "3")
+    assert code == EXIT_USAGE and "usage error" in err
+
+
 def test_bounds_k_mode():
     code, out, _ = run_cli("bounds", "--d", "2", "--k", "3", "--i", "3")
     assert code == EXIT_OK

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -19,11 +21,12 @@ from arrstab.oracle.groups import (
     induced_character,
     orientation_sign,
     stabilizer,
+    stabilizer_generators,
     symmetric_group,
 )
 from arrstab.oracle.homology import IntervalHomology
 from arrstab.oracle.linalg import eliminate
-from arrstab.partitions import Partition, SetPartition, all_set_partitions
+from arrstab.partitions import Partition, SetPartition, all_set_partitions, partitions_of
 from arrstab.stability import kequal_char
 from arrstab.symfunc import (
     e,
@@ -35,6 +38,10 @@ from arrstab.symfunc import (
     schur,
     to_schur,
 )
+
+
+def classes_of(pi):
+    return conjugacy_classes(stabilizer(pi), stabilizer_generators(pi))
 
 
 def full_lattice(n):
@@ -168,7 +175,7 @@ def test_traces_match_dense_reference():
     assert hom.dims == {1: 10, 2: 10}
     assert hom.chain_count(1) == 170
     cycles = {j: _dense_cycles(hom, j) for j in range(0, hom.top + 2)}
-    for cls in conjugacy_classes(stabilizer(rep)):
+    for cls in classes_of(rep):
         g = cls[0]
         for j in range(0, hom.top + 1):
             # trace on homology = on cycles - on boundaries, and the
@@ -265,7 +272,7 @@ def test_hopf_trace_identity():
     for mu in [Partition((3, 2)), Partition((4, 1)), Partition((5,))]:
         rep = lat.canonical_of_type(mu)
         hom = IntervalHomology(lat.open_interval(rep))
-        for cls in conjugacy_classes(stabilizer(rep)):
+        for cls in classes_of(rep):
             g = cls[0]
             lhs = sum(
                 (-1) ** j * hom.trace_on_chains(j, g)
@@ -281,7 +288,7 @@ def test_homology_character_constant_on_classes():
     for lat, n in ((k4, 4), (k3, 6)):
         rep = lat.canonical_of_type(Partition((n,)))
         hom = IntervalHomology(lat.open_interval(rep))
-        for cls in conjugacy_classes(stabilizer(rep)):
+        for cls in classes_of(rep):
             for j in hom.dims:
                 values = {hom.trace(j, g) for g in cls}
                 assert len(values) == 1
@@ -307,8 +314,9 @@ def test_stabilizer_matches_filter_of_symmetric_group():
 
 
 def test_conjugacy_classes_are_orbits():
-    group = stabilizer(SetPartition(5, [[1, 2], [3, 4], [5]]))
-    classes = conjugacy_classes(group)
+    pi = SetPartition(5, [[1, 2], [3, 4], [5]])
+    group = stabilizer(pi)
+    classes = classes_of(pi)
     assert sorted(g for cls in classes for g in cls) == group
     for cls in classes:
         g = cls[0]
@@ -319,6 +327,91 @@ def test_conjugacy_classes_are_orbits():
                 inv[xi] = i
             orbit.add(tuple(x[g[inv[i]]] for i in range(len(x))))
         assert cls == sorted(orbit)
+
+
+def _generated(n, generators):
+    """Closure of the identity under composition with the generators."""
+    closure = {tuple(range(n))}
+    frontier = list(closure)
+    while frontier:
+        fresh = {tuple(x[i] for i in g) for g in frontier for x in generators}
+        frontier = list(fresh - closure)
+        closure |= fresh
+    return closure
+
+
+def test_stabilizer_generators_generate_the_stabilizer():
+    for n in range(1, 7):
+        for pi in all_set_partitions(n):
+            assert sorted(_generated(n, stabilizer_generators(pi))) == stabilizer(pi)
+
+
+def _classes_by_every_member(group):
+    """Conjugacy classes by conjugating each new element by all of the
+    group, ordered by least representative."""
+    classes, seen = [], set()
+    for g in sorted(group):
+        if g in seen:
+            continue
+        orbit = set()
+        for x in group:
+            conj = [0] * len(g)
+            for i, gi in enumerate(g):
+                conj[x[i]] = x[gi]
+            orbit.add(tuple(conj))
+        seen |= orbit
+        classes.append(sorted(orbit))
+    return classes
+
+
+def test_conjugacy_classes_match_conjugation_by_every_member():
+    reps = {}
+    for n in range(1, 8):
+        for pi in all_set_partitions(n):
+            reps.setdefault(pi.type(), pi)
+    assert len(reps) == 44
+    for pi in reps.values():
+        assert classes_of(pi) == _classes_by_every_member(stabilizer(pi))
+
+
+def test_conjugacy_classes_refuse_a_generator_outside_the_group():
+    group = stabilizer(SetPartition(3, [[1, 2], [3]]))
+    with pytest.raises(ValueError):
+        conjugacy_classes(group, [(0, 2, 1)])
+
+
+def _reference_closure(n, types):
+    """Bottom plus every set partition that is the join of the
+    generators below it, which is what a join closure holds."""
+    generators = [pi for pi in all_set_partitions(n) if pi.type() in types]
+    elements = {SetPartition.bottom(n)}
+    for x in all_set_partitions(n):
+        owner = x.block_of()
+        below = [g for g in generators if g.refines(owner)]
+        if below and reduce(SetPartition.join, below) == x:
+            elements.add(x)
+    return elements
+
+
+def test_join_closure_matches_reference():
+    cases = []
+    for n in range(2, 7):
+        types = [t for t in partitions_of(n) if t.rank > 0]
+        cases += [(n, {t}) for t in types]
+        cases += [(n, set(pair)) for pair in combinations(types, 2)]
+    cases += [(7, {t}) for t in partitions_of(7) if t.rank > 0]
+    assert len(cases) == 104
+    for n, types in cases:
+        assert set(build_pi_lambda(n, types).elements) == _reference_closure(n, types)
+
+
+def test_vertex_map_matches_relabelled_vertices():
+    lat = build_pi_lambda(6, [Partition((3, 1, 1, 1))])
+    rep = lat.canonical_of_type(Partition((6,)))
+    hom = IntervalHomology(lat.open_interval(rep))
+    index = {v: i for i, v in enumerate(hom.vertices)}
+    for g in stabilizer(rep):
+        assert hom.vertex_map(g) == [index[v.apply(g)] for v in hom.vertices]
 
 
 def test_orientation_signs():
@@ -378,20 +471,20 @@ def test_orientation_sign_matches_determinant():
 
 def test_orientation_constant_on_classes():
     pi = SetPartition(6, [[1, 2, 3], [4, 5, 6]])
-    for cls in conjugacy_classes(stabilizer(pi)):
+    for cls in classes_of(pi):
         signs = {orientation_sign(pi, 3, g) for g in cls}
         assert len(signs) == 1
 
 
 def test_induced_character_trivial_from_young_subgroup():
-    classes = conjugacy_classes(stabilizer(SetPartition(3, [[1, 2], [3]])))
+    classes = classes_of(SetPartition(3, [[1, 2], [3]]))
     induced = induced_character(classes, [1] * len(classes))
     ch = class_function_to_characteristic(3, induced)
     assert to_schur(ch) == mul(h(2), h(1))
 
 
 def test_induced_character_sign():
-    classes = conjugacy_classes(symmetric_group(4))
+    classes = classes_of(SetPartition(4, [[1, 2, 3, 4]]))
     values = [(-1) ** (4 - len(cycle_type(cls[0]))) for cls in classes]
     induced = induced_character(classes, values)
     assert class_function_to_characteristic(4, induced) != 0
@@ -401,7 +494,7 @@ def test_induced_character_sign():
 def test_induced_character_trivial_from_wreath_product():
     # the stabilizer of {12}{34} has two classes of cycle type (2, 2):
     # (12)(34) and the two block swaps (13)(24), (14)(23)
-    classes = conjugacy_classes(stabilizer(SetPartition(4, [[1, 2], [3, 4]])))
+    classes = classes_of(SetPartition(4, [[1, 2], [3, 4]]))
     assert sum(cycle_type(cls[0]) == Partition((2, 2)) for cls in classes) == 2
     induced = induced_character(classes, [1] * len(classes))
     ch = to_schur(class_function_to_characteristic(4, induced))

@@ -128,6 +128,13 @@ def test_set_partition_apply():
     assert rotated == SetPartition(4, [[2, 3], [1, 4]])
 
 
+def test_set_partition_labels_round_trip():
+    assert SetPartition(5, [[1, 3, 5], [2, 4]]).labels() == (0, 1, 0, 1, 0)
+    for n in range(1, 7):
+        for pi in all_set_partitions(n):
+            assert SetPartition.from_labels(pi.labels()) == pi
+
+
 def test_lambda_set():
     lam = LambdaSet([(2,)])
     assert lam.n0 == 2 and lam.rank == 1
