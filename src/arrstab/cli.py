@@ -62,6 +62,13 @@ def _parse_irange(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _default_oracle_limit() -> int:
     raw = os.environ.get(ORACLE_LIMIT_ENV)
     if raw is None:
@@ -110,9 +117,9 @@ def _build_parser() -> _Parser:
     p_table = sub.add_parser("table", help="certified sharp stability bounds")
     common(p_table, need_k=True)
     p_table.add_argument("--i", required=True, help="degree or range, e.g. 3..6")
-    p_table.add_argument("--horizon", type=int, help="override the certification horizon")
+    p_table.add_argument("--horizon", type=positive_int, help="override the certification horizon")
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_table.add_argument("--jobs", type=int, default=1)
+    p_table.add_argument("--jobs", type=positive_int, default=1)
     p_table.add_argument("--output")
 
     p_verify = sub.add_parser("verify", help="formula vs lattice model")
@@ -120,13 +127,13 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--n-max", type=int, required=True)
     p_verify.add_argument("--oracle-limit", type=int)
     p_verify.add_argument("--format", choices=("text", "csv"), default="text")
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=positive_int, default=1)
     p_verify.add_argument("--output")
 
     p_bounds = sub.add_parser("bounds", help="proven bounds and certified sharp bound")
     common(p_bounds)
     p_bounds.add_argument("--i", type=int, required=True)
-    p_bounds.add_argument("--horizon", type=int)
+    p_bounds.add_argument("--horizon", type=positive_int)
     p_bounds.add_argument("--output")
     return parser
 
@@ -158,8 +165,6 @@ def _table_report(task: tuple[int, int, int, int | None]) -> StabilityReport:
 def cmd_table(args) -> int:
     _validate_dk(args.d, args.k)
     degrees = _parse_irange(args.i)
-    if args.horizon is not None and args.horizon < 1:
-        raise UsageError("--horizon must be at least 1")
     reports: list[StabilityReport] = []
     if args.jobs > 1:
         tasks = [(args.d, args.k, i, args.horizon) for i in degrees]
@@ -195,13 +200,10 @@ def _verify_rows_k(
     d: int, k: int, n: int, limit: int
 ) -> list[tuple[str, str, str, str, str, bool]]:
     rows = []
-    types = [Partition((k,)).pad_to(n)] if n >= k else []
+    types = [Partition((k,)).pad_to(n)]
     for i in range(0, d * n + 2):
         formula = kequal_char(n, i, d, k)
-        if n >= k:
-            oracle = sw_complement_char(n, d, types, i, limit=limit)
-        else:
-            oracle = formula - formula
+        oracle = sw_complement_char(n, d, types, i, limit=limit)
         rows.append(
             (
                 f"k={k}",

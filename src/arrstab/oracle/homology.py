@@ -14,7 +14,8 @@ The lows of the boundary echelon and of the essential cycles are
 distinct and together span the cycles, so a symmetry's trace is read
 off without solving anything: g*z_tau is reduced from the top against
 them until its largest index is at most tau, and what is left at tau,
-over z_tau[tau], is the coefficient of z_tau.
+over z_tau[tau], is the coefficient of z_tau.  Rows below tau never
+reach tau, so the reduction keeps only the rows at or above it.
 """
 
 from __future__ import annotations
@@ -102,7 +103,9 @@ class IntervalHomology:
         Each essential cycle z_tau is moved by the permutation and
         reduced from the top; the fraction-free steps multiply it by
         ``scale``, so the coefficient of z_tau is x[tau] / (scale *
-        z_tau[tau]).
+        z_tau[tau]).  No step below tau can reach tau, so only the moved
+        cycle's entries at rows >= tau are kept, and each basis column
+        is read down to row tau (its rows are in descending order).
         """
         if self.dims.get(degree, 0) == 0:
             return 0
@@ -118,19 +121,22 @@ class IntervalHomology:
             a: idx[tuple(map(vmap.__getitem__, simp[a]))]
             for a in set().union(*cycles.values())
         }
-        total = Fraction(0)
+        total = 0
         for tau, z in cycles.items():
-            x = {moved[a]: val for a, val in z.items()}
+            x = {r: val for a, val in z.items() if (r := moved[a]) >= tau}
             scale = 1
             while x:
                 low = max(x)
-                if low <= tau:
+                if low == tau:
                     break
                 a, b = cancel_factors(basis[low][low], x[low])
-                combine(a, x, b, basis[low])
+                combine(a, x, b, basis[low], tau)
                 scale *= a
-            total += Fraction(x.get(tau, 0), scale * z[tau])
-        if total.denominator != 1:
+            den = scale * z[tau]
+            coeff, rest = divmod(x.get(tau, 0), den)
+            # each coefficient is an integer while every pivot is a unit
+            total += Fraction(x[tau], den) if rest else coeff
+        if total != int(total):
             raise AssertionError(f"non-integral homology trace {total}")
         return int(total)
 

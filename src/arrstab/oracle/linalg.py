@@ -27,12 +27,19 @@ def cancel_factors(p: int, q: int) -> tuple[int, int]:
     return (a, b) if a > 0 else (-a, -b)
 
 
-def combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> None:
-    """Set x to a*x - b*y in place, keeping no zero entries."""
+def combine(a: int, x: dict[int, int], b: int, y: dict[int, int], stop: int = 0) -> None:
+    """Set x to a*x - b*y in place, keeping no zero entries.
+
+    Only y's entries at rows ``>= stop`` are used, and y is read up to
+    its first row below ``stop``, so a positive ``stop`` needs y's rows
+    in descending order.
+    """
     if a != 1:
         for i in x:
             x[i] *= a
     for i, v in y.items():
+        if i < stop:
+            break
         s = x.get(i, 0) - b * v
         if s:
             x[i] = s
@@ -62,7 +69,10 @@ def eliminate(
     is; its size is the rank of the non-cleared columns.  The relations
     map each non-cleared column that reduces to zero to an integer
     vector over column indices, with that column as its largest index,
-    which the input columns send to zero.
+    which the input columns send to zero.  Every echelon column and every
+    relation lists its rows in descending order, so a reduction that
+    only needs the rows at or above some row can stop early
+    (``combine``'s ``stop``).
     """
     echelon: dict[int, dict[int, int]] = {}
     pivot_relations: dict[int, dict[int, int]] = {}
@@ -77,7 +87,7 @@ def eliminate(
             pivot = echelon.get(low)
             if pivot is None:
                 _divide_content(col, rel)
-                echelon[low] = col
+                echelon[low] = dict(sorted(col.items(), reverse=True))
                 pivot_relations[low] = rel
                 break
             a, b = cancel_factors(pivot[low], col[low])
@@ -85,5 +95,5 @@ def eliminate(
             combine(a, rel, b, pivot_relations[low])
         else:
             _divide_content(rel)
-            relations[c] = rel
+            relations[c] = dict(sorted(rel.items(), reverse=True))
     return echelon, relations

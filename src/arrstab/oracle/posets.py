@@ -3,11 +3,13 @@
 The lattice generated by all set partitions of prescribed types is
 closed under join (coordinatewise merging), is stable under the
 symmetric group, and carries the refinement order.  Elements are stored
-in a deterministic order with precomputed strict-order sets.
+in a deterministic order, indexed by type; intervals are found on
+demand.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable
 
 from ..partitions import Partition, SetPartition, all_set_partitions
@@ -25,26 +27,24 @@ class PiLambdaLattice:
     """Finite join sublattice of the partition lattice, with bottom.
 
     ``elements[0]`` is the all-singletons bottom; the rest are sorted by
-    rank and block structure.  ``strictly_below[i]`` holds the indices
-    of elements strictly finer than element i.
+    rank and block structure, so each element comes after every element
+    strictly below it.
     """
 
     def __init__(self, n: int, elements: Iterable[SetPartition]):
         self.n = n
         bottom = SetPartition.bottom(n)
         rest = sorted(
-            (el for el in elements if el != bottom),
-            key=lambda el: (el.type().rank, el.blocks),
+            ((el.type(), el) for el in elements if el != bottom),
+            key=lambda typed: (typed[0].rank, typed[1].blocks),
         )
-        self.elements: list[SetPartition] = [bottom] + rest
+        self.elements: list[SetPartition] = [bottom] + [el for _, el in rest]
         self.index: dict[SetPartition, int] = {
             el: i for i, el in enumerate(self.elements)
         }
-        # elements are sorted by rank, so only earlier ones can be finer
-        self.strictly_below: list[set[int]] = [
-            {j for j in range(i) if self.elements[j].refines(owner)}
-            for i, owner in enumerate(el.block_of() for el in self.elements)
-        ]
+        self._by_type: dict[Partition, list[SetPartition]] = {bottom.type(): [bottom]}
+        for mu, el in rest:
+            self._by_type.setdefault(mu, []).append(el)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -53,25 +53,21 @@ class PiLambdaLattice:
         return el in self.index
 
     def open_interval(self, top: SetPartition) -> list[SetPartition]:
-        """Elements strictly between the bottom and ``top``."""
-        it = self.index[top]
-        return [self.elements[j] for j in sorted(self.strictly_below[it]) if j != 0]
+        """Elements strictly between the bottom and ``top``, in element
+        order."""
+        owner = top.block_of()
+        return [el for el in self.elements[1 : self.index[top]] if el.refines(owner)]
 
     def types_present(self) -> list[Partition]:
         """Types of the nonbottom elements, sorted by (rank, shape)."""
-        types = {el.type() for el in self.elements[1:]}
-        return sorted(types, key=lambda t: (t.rank, t))
+        return sorted((mu for mu in self._by_type if mu.rank), key=lambda t: (t.rank, t))
 
     def elements_of_type(self, mu: Partition) -> list[SetPartition]:
-        return [el for el in self.elements if el.type() == mu]
+        return list(self._by_type.get(mu, ()))
 
     def canonical_of_type(self, mu: Partition) -> SetPartition:
         """The type-mu element with consecutive blocks {1..mu_1}, ..."""
-        blocks, start = [], 1
-        for part in mu:
-            blocks.append(range(start, start + part))
-            start += part
-        el = SetPartition(self.n, blocks)
+        el = SetPartition.from_labels(_canonical_labels(mu))
         if el not in self.index:
             raise ValueError(f"no element of type {mu!r} in the lattice")
         return el
@@ -82,8 +78,13 @@ def build_pi_lambda(
 ) -> PiLambdaLattice:
     """Join closure of all set partitions of the given types, plus bottom.
 
-    ``types`` are partitions of n; closure is by repeated pairwise join
-    until stable, on block labels (``SetPartition.labels``).
+    ``types`` are partitions of n.  The closure is stable under the
+    symmetric group, so it holds every set partition of each type it
+    reaches, and it is closed on types: the join of a type-mu element
+    with a generator is conjugate to the join of the canonical type-mu
+    element with another generator.  So only the canonical element of
+    each newly reached type is joined with every generator, on block
+    labels (``SetPartition.labels``).
     """
     limit = DEFAULT_LATTICE_LIMIT if limit is None else limit
     if n > limit:
@@ -92,19 +93,31 @@ def build_pi_lambda(
     for t in types:
         if t.size != n:
             raise ValueError(f"type {t!r} is not a partition of {n}")
-    generators = [sp.labels() for sp in all_set_partitions(n) if sp.type() in types]
-    closed = set(generators)
-    frontier = list(generators)
+    typed = [(sp.type(), sp) for sp in all_set_partitions(n)]
+    generators = [sp.labels() for mu, sp in typed if mu in types]
+    reached = set(types)
+    frontier = list(types)
     while frontier:
         fresh = []
-        for a in frontier:
+        for mu in frontier:
+            canonical = _canonical_labels(mu)
             for b in generators:
-                j = _join_labels(a, b)
-                if j not in closed:
-                    closed.add(j)
-                    fresh.append(j)
+                joined = _join_labels(canonical, b)
+                nu = Partition(sorted(Counter(joined).values(), reverse=True))
+                if nu not in reached:
+                    reached.add(nu)
+                    fresh.append(nu)
         frontier = fresh
-    return PiLambdaLattice(n, map(SetPartition.from_labels, closed))
+    return PiLambdaLattice(n, (sp for mu, sp in typed if mu in reached))
+
+
+def _canonical_labels(mu: Partition) -> tuple[int, ...]:
+    """Block labels of the type-mu set partition with consecutive
+    blocks, the largest first."""
+    labels: list[int] = []
+    for part in mu:
+        labels += [len(labels)] * part
+    return tuple(labels)
 
 
 def _join_labels(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

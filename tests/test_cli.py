@@ -182,6 +182,27 @@ def test_nonpositive_oracle_limit_env_is_usage_error(monkeypatch, value):
     assert code == EXIT_USAGE and "usage error" in err
 
 
+@pytest.mark.parametrize("command", ["table", "bounds"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_nonpositive_horizon_is_usage_error(command, value):
+    code, out, err = run_cli(command, "--d", "2", "--k", "3", "--i", "3", "--horizon", value)
+    assert code == EXIT_USAGE and out == ""
+    assert "--horizon: must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--d", "2", "--k", "3", "--i", "3", "--jobs", "0"],
+        ["verify", "--d", "2", "--k", "3", "--n-max", "3", "--jobs", "-1"],
+    ],
+)
+def test_nonpositive_jobs_is_usage_error(argv):
+    code, out, err = run_cli(*argv)
+    assert code == EXIT_USAGE and out == ""
+    assert "--jobs: must be at least 1" in err
+
+
 def test_bounds_k_mode():
     code, out, _ = run_cli("bounds", "--d", "2", "--k", "3", "--i", "3")
     assert code == EXIT_OK

@@ -25,7 +25,7 @@ from arrstab.oracle.groups import (
     symmetric_group,
 )
 from arrstab.oracle.homology import IntervalHomology
-from arrstab.oracle.linalg import eliminate
+from arrstab.oracle.linalg import combine, eliminate
 from arrstab.partitions import Partition, SetPartition, all_set_partitions, partitions_of
 from arrstab.stability import kequal_char
 from arrstab.symfunc import (
@@ -123,10 +123,12 @@ def test_eliminate_random_sparse_systems(seed):
         {**relations, **{c: {c: 1} for c in cleared}},
     )
     for low, col in echelon.items():
+        assert list(col) == sorted(col, reverse=True)
         assert max(col) == low and col[low] != 0
         assert all(v for v in col.values())
         assert _dense_rank(kept + [col], nrows) == rank
     for c, rel in relations.items():
+        assert list(rel) == sorted(rel, reverse=True)
         assert max(rel) == c and rel[c] != 0
         assert not cleared & rel.keys()
         assert _apply(columns, rel) == {}
@@ -168,21 +170,47 @@ def _cycle_trace(hom, j, cycles, g):
 
 
 def test_traces_match_dense_reference():
-    # the k=3, n=6 top interval has homology in two adjacent degrees
-    lat = build_pi_lambda(6, [Partition((3, 1, 1, 1))])
-    rep = lat.canonical_of_type(Partition((6,)))
+    cases = [
+        # the k=3, n=6 top interval has homology in two adjacent degrees
+        (build_pi_lambda(6, [Partition((3, 1, 1, 1))]), Partition((6,)), {1: 10, 2: 10}, 170),
+        (full_lattice(5), Partition((5,)), {2: 24}, 205),
+    ]
+    for lat, mu, dims, edges in cases:
+        rep = lat.canonical_of_type(mu)
+        hom = IntervalHomology(lat.open_interval(rep))
+        assert hom.dims == dims
+        assert hom.chain_count(1) == edges
+        cycles = {j: _dense_cycles(hom, j) for j in range(0, hom.top + 2)}
+        for cls in classes_of(rep):
+            g = cls[0]
+            for j in range(0, hom.top + 1):
+                # trace on homology = on cycles - on boundaries, and the
+                # boundaries of degree j are the chains of degree j+1
+                # modulo their cycles
+                above = hom.trace_on_chains(j + 1, g) - _cycle_trace(hom, j + 1, cycles[j + 1], g)
+                assert hom.trace(j, g) == _cycle_trace(hom, j, cycles[j], g) - above
+
+
+def test_trace_reads_basis_entries_at_the_cycle_row():
+    # the reductions leave no basis entry at an essential cycle's own
+    # row, so add each essential cycle to the next one: the basis keeps
+    # its lows and spans the same homology, and the traces stay the same
+    lat = full_lattice(5)
+    rep = lat.canonical_of_type(Partition((5,)))
     hom = IntervalHomology(lat.open_interval(rep))
-    assert hom.dims == {1: 10, 2: 10}
-    assert hom.chain_count(1) == 170
-    cycles = {j: _dense_cycles(hom, j) for j in range(0, hom.top + 2)}
-    for cls in classes_of(rep):
-        g = cls[0]
-        for j in range(0, hom.top + 1):
-            # trace on homology = on cycles - on boundaries, and the
-            # boundaries of degree j are the chains of degree j+1 modulo
-            # their cycles
-            above = hom.trace_on_chains(j + 1, g) - _cycle_trace(hom, j + 1, cycles[j + 1], g)
-            assert hom.trace(j, g) == _cycle_trace(hom, j, cycles[j], g) - above
+    expected = {cls[0]: hom.trace(2, cls[0]) for cls in classes_of(rep)}
+    cycles = hom._cycles[2]
+    taus = list(cycles)
+    mixed = {taus[0]: cycles[taus[0]]}
+    for prev, tau in zip(taus, taus[1:]):
+        vec = dict(cycles[tau])
+        combine(1, vec, -1, cycles[prev])
+        mixed[tau] = dict(sorted(vec.items(), reverse=True))
+        assert prev in mixed[tau]
+    hom._cycles[2] = mixed
+    hom._basis[2] = {**hom._basis[2], **mixed}
+    for g, value in expected.items():
+        assert hom.trace(2, g) == value
 
 
 def test_lattice_two_equal_is_everything():
@@ -555,16 +583,37 @@ def test_schur_decompose():
 def test_lattice_order_relation_properties():
     for n in (3, 4, 5):
         lat = full_lattice(n)
-        below = lat.strictly_below
-        size = len(lat)
-        for i in range(size):
-            assert i not in below[i]
-            for j in below[i]:
-                assert i not in below[j]  # antisymmetry
-                assert below[j] <= below[i]  # transitivity
-        bottom = 0
-        for i in range(1, size):
-            assert bottom in below[i]
+        bottom = lat.elements[0]
+        below = {x: set(lat.open_interval(x)) for x in lat.elements}
+        for x, under in below.items():
+            assert x not in under  # irreflexivity
+            assert bottom not in under  # the interval is open at the bottom
+            for y in under:
+                assert x not in below[y]  # antisymmetry
+                assert below[y] <= under  # transitivity
+        # the bottom lies below every element: nothing lies below it, and
+        # the top lies above everything else
+        top = lat.canonical_of_type(Partition((n,)))
+        assert bottom == SetPartition.bottom(n) and not below[bottom]
+        assert below[top] == set(lat.elements) - {bottom, top}
+
+
+def test_open_interval_matches_brute_force():
+    lattices = [
+        full_lattice(5),
+        build_pi_lambda(6, [Partition((3, 1, 1, 1))]),
+        build_pi_lambda(6, [Partition((2, 2, 1, 1))]),
+    ]
+    assert [len(lat) for lat in lattices] == [52, 53, 168]
+    for lat in lattices:
+        bottom = lat.elements[0]
+        for top in lat.elements:
+            expected = [
+                el
+                for el in lat.elements
+                if el not in (bottom, top) and el.is_refinement_of(top)
+            ]
+            assert lat.open_interval(top) == expected
 
 
 def test_equivariant_character_identity_value_is_dimension():
