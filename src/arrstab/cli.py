@@ -80,15 +80,13 @@ def _default_oracle_limit() -> int:
 
 
 def _emit(text: str, output: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if output is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(output, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _build_parser() -> _Parser:
@@ -301,6 +299,10 @@ def cmd_bounds(args) -> int:
     _validate_dk(args.d, args.k)
     if args.i < 0:
         raise UsageError("--i must be nonnegative")
+    if (args.k is None) == (args.lambda_spec is None):
+        raise UsageError("bounds needs exactly one of --k or --lambda")
+    if args.horizon is not None and args.k is None:
+        raise UsageError("--horizon applies only with --k")
     lines = []
     if args.k is not None:
         bounds = sorted(theorem_bounds(args.d, args.k, args.i))
@@ -313,11 +315,9 @@ def cmd_bounds(args) -> int:
             progress=lambda msg: _progress(f"bounds i={args.i}: {msg}"),
         )
         lines.append(f"certified sharp bound: {rep.bound_text()}")
-    elif args.lambda_spec is not None:
+    else:
         lam = LambdaSet.parse(args.lambda_spec)
         lines.append(f"general bound: {general_bound(lam, args.i, args.d)}")
-    else:
-        raise UsageError("bounds needs one of --k or --lambda")
     _emit("\n".join(lines), args.output)
     return EXIT_OK
 

@@ -9,6 +9,7 @@ to the full symmetric group, and add up.  Everything is exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import factorial
 from typing import Iterable
@@ -66,58 +67,42 @@ class EquivariantCharacter:
     values: dict[int, tuple[int, ...]]
 
 
-class _TypeRecord:
-    """Per-orbit data: interval homology plus stabilizer structure."""
+class _Orbit:
+    """One orbit of a lattice at its element ``pi``: the homology of the
+    interval below ``pi`` and its stabilizer's classes, with each degree's
+    traces and the odd-d orientation signs computed on first use."""
 
-    def __init__(self, lattice: PiLambdaLattice, mu: Partition):
-        self.type = mu
-        self.rep = lattice.canonical_of_type(mu)
-        self.homology = IntervalHomology(lattice.open_interval(self.rep))
-        self.classes = conjugacy_classes(stabilizer(self.rep), stabilizer_generators(self.rep))
-        order = sum(len(cls) for cls in self.classes)
-        orbit = len(lattice.elements_of_type(mu))
-        if orbit * order != factorial(lattice.n):
-            raise AssertionError(
-                f"type {mu!r}: orbit {orbit} x stabilizer {order} != {lattice.n}!"
-            )
+    def __init__(self, lattice: PiLambdaLattice, pi: SetPartition):
+        self.pi = pi
+        self.homology = IntervalHomology(lattice.open_interval(pi))
+        self.classes = conjugacy_classes(stabilizer(pi), stabilizer_generators(pi))
+        self.order = sum(len(cls) for cls in self.classes)
         self._traces: dict[int, list[int]] = {}
-        self._orientations: dict[int, list[int]] = {}
 
     def traces(self, degree: int) -> list[int]:
         if degree not in self._traces:
-            self._traces[degree] = [
-                self.homology.trace(degree, cls[0]) for cls in self.classes
-            ]
+            self._traces[degree] = [self.homology.trace(degree, cls[0]) for cls in self.classes]
         return self._traces[degree]
 
-    def orientations(self, d: int) -> list[int]:
-        parity = d % 2
-        if parity not in self._orientations:
-            if parity == 0:
-                signs = [1] * len(self.classes)
-            else:
-                signs = [orientation_sign(self.rep, 1, cls[0]) for cls in self.classes]
-            self._orientations[parity] = signs
-        return self._orientations[parity]
+    @functools.cached_property
+    def odd_signs(self) -> list[int]:
+        """The orientation character for odd d (for even d it is trivial)."""
+        return [orientation_sign(self.pi, 1, cls[0]) for cls in self.classes]
 
 
-class _LatticeData:
-    def __init__(self, n: int, types: frozenset[Partition], limit: int):
-        self.n = n
-        self.lattice = build_pi_lambda(n, types, limit=limit)
-        self.records = [
-            _TypeRecord(self.lattice, mu) for mu in self.lattice.types_present()
-        ]
-
-
-_lattice_cache: dict[tuple[int, frozenset[Partition]], _LatticeData] = {}
-
-
-def _lattice_data(n: int, types: frozenset[Partition], limit: int) -> _LatticeData:
-    key = (n, types)
-    if key not in _lattice_cache:
-        _lattice_cache[key] = _LatticeData(n, types, limit)
-    return _lattice_cache[key]
+@functools.cache
+def _orbits(n: int, types: frozenset[Partition]) -> tuple[tuple[Partition, _Orbit], ...]:
+    """Each orbit type of the lattice generated by ``types`` with its orbit
+    at the type's canonical element, built once per ``(n, types)``."""
+    lattice = build_pi_lambda(n, types, limit=n)
+    orbits = []
+    for mu in lattice.types_present():
+        orbit = _Orbit(lattice, lattice.canonical_of_type(mu))
+        size = len(lattice.elements_of_type(mu))
+        if size * orbit.order != factorial(n):
+            raise AssertionError(f"type {mu!r}: orbit {size} x stabilizer {orbit.order} != {n}!")
+        orbits.append((mu, orbit))
+    return tuple(orbits)
 
 
 def interval_homology(
@@ -129,18 +114,13 @@ def interval_homology(
         raise ValueError(f"{pi!r} is not a lattice element")
     if pi == lattice.elements[0]:
         raise ValueError("the bottom element has no interval below it")
-    hom = IntervalHomology(lattice.open_interval(pi))
-    stab = stabilizer(pi)
-    classes = conjugacy_classes(stab, stabilizer_generators(pi))
-    values = {
-        j: tuple(hom.trace(j, cls[0]) for cls in classes) for j in hom.dims
-    }
+    orbit = _Orbit(lattice, pi)
     char = EquivariantCharacter(
-        group_order=len(stab),
-        classes=tuple((cls[0], len(cls)) for cls in classes),
-        values=values,
+        group_order=orbit.order,
+        classes=tuple((cls[0], len(cls)) for cls in orbit.classes),
+        values={j: tuple(orbit.traces(j)) for j in orbit.homology.dims},
     )
-    return dict(hom.dims), char
+    return dict(orbit.homology.dims), char
 
 
 def sw_complement_char(
@@ -162,15 +142,15 @@ def sw_complement_char(
     if d < 1:
         raise ValueError("d must be positive")
     types = frozenset(Partition(t) for t in types)
-    data = _lattice_data(n, types, limit=max(limit, DEFAULT_LATTICE_LIMIT))
     total = zero(POWER)
-    for rec in data.records:
-        codim = d * rec.type.rank
-        degree = codim - i - 2
-        if rec.homology.dims.get(degree, 0) == 0:
+    for mu, orbit in _orbits(n, types):
+        degree = d * mu.rank - i - 2
+        if orbit.homology.dims.get(degree, 0) == 0:
             continue
-        values = [tr * sg for tr, sg in zip(rec.traces(degree), rec.orientations(d))]
-        induced = induced_character(rec.classes, values)
+        values = orbit.traces(degree)
+        if d % 2:
+            values = [tr * sg for tr, sg in zip(values, orbit.odd_signs)]
+        induced = induced_character(orbit.classes, values)
         total = total + class_function_to_characteristic(n, induced)
     result = to_schur(total)
     if result and not result.is_nonnegative_integral():

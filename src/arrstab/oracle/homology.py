@@ -31,17 +31,21 @@ class IntervalHomology:
     """Reduced order-complex homology of an open interval with its
     induced symmetry action.
 
-    ``vertices`` are the interval's elements; any permutation that maps
-    the vertex set to itself acts on chains without signs, since chains
-    are ordered by the poset itself.
+    ``vertices`` are the interval's elements, listed with non-increasing
+    block counts (as ``PiLambdaLattice.open_interval`` returns them); any
+    permutation that maps the vertex set to itself acts on chains without
+    signs, since chains are ordered by the poset itself.
     """
 
     def __init__(self, vertices: Sequence[SetPartition]):
-        self.vertices = sorted(vertices, key=lambda el: (el.type().rank, el.blocks))
+        self.vertices = list(vertices)
+        counts = [len(el.blocks) for el in self.vertices]
+        if any(a < b for a, b in zip(counts, counts[1:])):
+            raise ValueError("vertices must be listed with non-increasing block counts")
         self.vertex_index = {el.labels(): i for i, el in enumerate(self.vertices)}
         nverts = len(self.vertices)
         owners = [el.block_of() for el in self.vertices]
-        # vertices are sorted by rank, so only later ones can be coarser
+        # a coarser vertex has fewer blocks, so it comes later
         above = [
             [j for j in range(i + 1, nverts) if self.vertices[i].refines(owners[j])]
             for i in range(nverts)

@@ -35,16 +35,9 @@ class Partition(tuple):
         return sum(self)
 
     @property
-    def length(self) -> int:
-        return len(self)
-
-    @property
     def rank(self) -> int:
         """Size minus length; 0 exactly for all-ones partitions."""
         return sum(self) - len(self)
-
-    def multiplicity(self, part: int) -> int:
-        return sum(1 for x in self if x == part)
 
     def conjugate(self) -> "Partition":
         """Transpose of the Ferrers diagram."""

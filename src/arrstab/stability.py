@@ -229,12 +229,7 @@ class StabilityReport:
         return str(self.sharp_bound)
 
     def to_json_obj(self) -> dict:
-        if not self.certified:
-            sharp = "horizon-limited"
-        elif self.vacuous:
-            sharp = "vacuous"
-        else:
-            sharp = self.sharp_bound
+        text = self.bound_text()
         return {
             "d": self.d,
             "k": self.k,
@@ -243,7 +238,7 @@ class StabilityReport:
             "bounds": [str(b) for b in self.bounds],
             "chars": {str(n): self.chars[n].to_text() for n in sorted(self.chars)},
             "stable_steps": {str(n): self.stable_steps[n] for n in sorted(self.stable_steps)},
-            "sharp_bound": sharp,
+            "sharp_bound": int(text) if text.isdigit() else text,
         }
 
     @classmethod

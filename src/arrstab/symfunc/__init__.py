@@ -5,11 +5,9 @@ from .core import (
     SCHUR,
     Basis,
     SymmetricFunction,
-    add_box,
     e,
     from_text,
     h,
-    homogeneous_part,
     mul,
     omega,
     one,
@@ -46,8 +44,6 @@ __all__ = [
     "omega",
     "to_schur",
     "to_power",
-    "homogeneous_part",
-    "add_box",
     "from_text",
     "sn_character",
     "zee",

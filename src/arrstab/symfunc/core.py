@@ -108,9 +108,6 @@ class SymmetricFunction:
     def is_nonnegative_integral(self) -> bool:
         return all(isinstance(c, int) and c >= 0 for c in self._terms.values())
 
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self._terms.values())
-
     # -- ring structure -----------------------------------------------
 
     def _coerced(self, other: "SymmetricFunction") -> "SymmetricFunction":
@@ -427,11 +424,3 @@ def to_schur(f: SymmetricFunction) -> SymmetricFunction:
             if x:
                 out[lam] = _ratio(x, den)
     return SymmetricFunction._raw(SCHUR, out)
-
-
-def homogeneous_part(f: SymmetricFunction, t: int) -> SymmetricFunction:
-    return f.homogeneous_part(t)
-
-
-def add_box(f: SymmetricFunction) -> SymmetricFunction:
-    return f.add_box()

@@ -50,10 +50,8 @@ def _strip_additions(
         if remaining == 0:
             new_shape = list(shape) + [0]
             cums = []
-            total = 0
             for row, a in enumerate(adds):
                 new_shape[row] += a
-                total += a
             for row in range(len(new_shape)):
                 total_through = sum(adds[: row + 1])
                 cums.append(total_through)

@@ -228,6 +228,20 @@ def test_bounds_zero_degree():
     assert "theorem bounds: 0" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--k", "3", "--lambda", "[2]"], "bounds needs exactly one of --k or --lambda"),
+        (["--lambda", "[2]", "--horizon", "4"], "--horizon applies only with --k"),
+    ],
+    ids=["k-and-lambda", "horizon-with-lambda"],
+)
+def test_bounds_refuses_options_it_would_ignore(argv, message):
+    code, out, err = run_cli("bounds", "--d", "2", "--i", "3", *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert message in err
+
+
 def test_usage_errors():
     code, _, err = run_cli("char", "--d", "1", "--k", "3", "--i", "1", "--n", "2")
     assert code == EXIT_USAGE

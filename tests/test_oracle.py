@@ -8,6 +8,7 @@ import pytest
 
 from arrstab.oracle import (
     OracleLimitError,
+    _orbits,
     build_pi_lambda,
     interval_homology,
     monomial_expand,
@@ -624,3 +625,41 @@ def test_equivariant_character_identity_value_is_dimension():
         identity = [cycle_type(g).rank for g, _ in char.classes].index(0)
         for j, dim in dims.items():
             assert char.values[j][identity] == dim
+
+
+def test_orbits_are_built_once_per_lattice():
+    types = [Partition((3, 1, 1))]
+    _orbits.cache_clear()
+    first = [sw_complement_char(5, 3, types, i) for i in range(15)]
+    info = _orbits.cache_info()
+    assert (info.misses, info.hits) == (1, 14)
+    assert any(first)
+    _orbits.cache_clear()
+    assert [sw_complement_char(5, 3, types, i) for i in range(15)] == first
+
+
+def test_interval_homology_refuses_vertices_out_of_order():
+    lat = full_lattice(4)
+    top = lat.canonical_of_type(Partition((4,)))
+    with pytest.raises(ValueError):
+        IntervalHomology(list(reversed(lat.open_interval(top))))
+
+
+def test_interval_homology_is_the_same_across_an_orbit():
+    def by_degree(lat, pi):
+        dims, char = interval_homology(lat, pi)
+        values = {
+            j: sorted(
+                (cycle_type(g), size, tr) for (g, size), tr in zip(char.classes, traces)
+            )
+            for j, traces in char.values.items()
+        }
+        return dims, values
+
+    for lat in (full_lattice(5), build_pi_lambda(6, [Partition((3, 1, 1, 1))])):
+        # the top, of the one-part type, is alone in its orbit
+        for mu in [mu for mu in lat.types_present() if len(mu) > 1]:
+            canonical = lat.canonical_of_type(mu)
+            other = lat.elements_of_type(mu)[-1]
+            assert other != canonical
+            assert by_degree(lat, other) == by_degree(lat, canonical)
