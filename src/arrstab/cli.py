@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 from .oracle import DEFAULT_EQUIVARIANT_LIMIT, OracleLimitError, sw_complement_char
@@ -25,7 +24,6 @@ from .stability import (
     kequal_char,
     lambda_char_smalln,
     sharp_bound_certified,
-    theorem_bounds,
 )
 
 EXIT_OK = 0
@@ -165,6 +163,8 @@ def cmd_table(args) -> int:
     degrees = _parse_irange(args.i)
     reports: list[StabilityReport] = []
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         tasks = [(args.d, args.k, i, args.horizon) for i in degrees]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for rep in pool.map(_table_report, tasks):
@@ -272,6 +272,8 @@ def cmd_verify(args) -> int:
     tasks = [(mode, args.d, spec, n, limit) for n in range(n_lo, args.n_max + 1)]
     rows = []
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for chunk in pool.map(_verify_worker, tasks):
                 rows.extend(chunk)
@@ -305,8 +307,6 @@ def cmd_bounds(args) -> int:
         raise UsageError("--horizon applies only with --k")
     lines = []
     if args.k is not None:
-        bounds = sorted(theorem_bounds(args.d, args.k, args.i))
-        lines.append("theorem bounds: " + ", ".join(str(b) for b in bounds))
         rep = sharp_bound_certified(
             args.d,
             args.k,
@@ -314,6 +314,7 @@ def cmd_bounds(args) -> int:
             horizon=args.horizon,
             progress=lambda msg: _progress(f"bounds i={args.i}: {msg}"),
         )
+        lines.append("theorem bounds: " + ", ".join(str(b) for b in rep.bounds))
         lines.append(f"certified sharp bound: {rep.bound_text()}")
     else:
         lam = LambdaSet.parse(args.lambda_spec)

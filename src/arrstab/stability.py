@@ -1,8 +1,9 @@
 """Stabilization pipelines for k-equal arrangement cohomology.
 
 The degree-i characteristic at n points is assembled as a finite sum of
-summands psi(n, q, r, t); each summand is a parity-dependent plethysm of
-a Lie-series piece into a hook series, restricted in degree and padded
+summands psi(n, q, r, t).  Each summand is e_r (even d) or h_r (odd d)
+composed into the Lie series, omega-twisted for odd k, composed into the
+hook series, omega-twisted for even d, restricted in degree and padded
 by a one-row factor h_q.  The degree equation fixes the restricted
 degree at m = n - q = r + (i - t(k-2))/(d-1), independent of n, so each
 summand needs the one degree m of its core series, computed and cached
@@ -30,7 +31,6 @@ from .symfunc import (
     mul,
     omega,
     plethysm,
-    signed_homology_series,
     to_power,
     to_schur,
     zero,
@@ -68,20 +68,12 @@ class PsiParams:
 
 
 @cache
-def _inner_piece(d_parity: int, k: int, r: int, t: int) -> SymmetricFunction:
+def _inner_piece(d_parity: int, k_parity: int, r: int, t: int) -> SymmetricFunction:
     """Degree-t inner factor in the power basis, before composing with
     the hook series."""
-    if d_parity == 0:
-        base = plethysm(to_power(e(r)), lie_series(t), max_degree=t)
-        if k % 2 == 1:
-            base = omega(base)
-    elif k % 2 == 0:
-        base = plethysm(to_power(h(r)), lie_series(t), max_degree=t)
-    else:
-        base = plethysm(to_power(h(r)), signed_homology_series(t), max_degree=t)
-        if t % 2 == 1:
-            base = -base
-    return base.homogeneous_part(t)
+    base = to_power(e(r) if d_parity == 0 else h(r))
+    piece = plethysm(base, lie_series(t), max_degree=t).homogeneous_part(t)
+    return omega(piece) if k_parity else piece
 
 
 @cache
@@ -93,7 +85,7 @@ def _core_piece(d_parity: int, k: int, r: int, t: int, m: int) -> SymmetricFunct
     degree m - (t-1)k never reach degree m.
     """
     series = plethysm(
-        _inner_piece(d_parity, k, r, t), hook_series(k, m - (t - 1) * k), max_degree=m
+        _inner_piece(d_parity, k % 2, r, t), hook_series(k, m - (t - 1) * k), max_degree=m
     )
     piece = series.homogeneous_part(m)
     if d_parity == 0:
@@ -218,8 +210,16 @@ class StabilityReport:
     chars: dict[int, SymmetricFunction]
     stable_steps: dict[int, bool]
     sharp_bound: int | None
-    vacuous: bool
-    certified: bool
+
+    @property
+    def certified(self) -> bool:
+        """Whether the window reaches the least proven bound."""
+        return self.horizon >= math.floor(min(self.bounds))
+
+    @property
+    def vacuous(self) -> bool:
+        """Whether the sequence is identically zero over the window."""
+        return not any(self.chars.values())
 
     def bound_text(self) -> str:
         if not self.certified:
@@ -244,8 +244,6 @@ class StabilityReport:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "StabilityReport":
         sharp = obj["sharp_bound"]
-        vacuous = sharp == "vacuous"
-        certified = sharp != "horizon-limited"
         return cls(
             d=obj["d"],
             k=obj["k"],
@@ -255,8 +253,6 @@ class StabilityReport:
             chars={int(n): from_text(text) for n, text in obj["chars"].items()},
             stable_steps={int(n): bool(v) for n, v in obj["stable_steps"].items()},
             sharp_bound=sharp if isinstance(sharp, int) else None,
-            vacuous=vacuous,
-            certified=certified,
         )
 
     def csv_row(self) -> str:
@@ -279,9 +275,7 @@ def sharp_bound_certified(
     report; an identically zero window is reported as vacuous.
     """
     bounds = tuple(sorted(theorem_bounds(d, k, i)))
-    theorem_horizon = math.floor(min(bounds))
-    window = theorem_horizon if horizon is None else horizon
-    certified = window >= theorem_horizon
+    window = math.floor(min(bounds)) if horizon is None else horizon
 
     chars: dict[int, SymmetricFunction] = {}
     for n in range(1, window + 1):
@@ -291,15 +285,11 @@ def sharp_bound_certified(
     stable_steps = {
         n: is_stable_step(chars[n], chars[n - 1]) for n in range(2, window + 1)
     }
-    failing = [n for n, ok in stable_steps.items() if not ok]
-    if any(chars.values()):
-        if not failing:
-            raise AssertionError(
-                f"nonzero sequence with no failing step up to {window} (d={d}, k={k}, i={i})"
-            )
-        sharp, vacuous = max(failing), False
-    else:
-        sharp, vacuous = None, True
+    sharp = max((n for n, ok in stable_steps.items() if not ok), default=None)
+    if sharp is None and any(chars.values()):
+        raise AssertionError(
+            f"nonzero sequence with no failing step up to {window} (d={d}, k={k}, i={i})"
+        )
     return StabilityReport(
         d=d,
         k=k,
@@ -309,8 +299,6 @@ def sharp_bound_certified(
         chars=chars,
         stable_steps=stable_steps,
         sharp_bound=sharp,
-        vacuous=vacuous,
-        certified=certified,
     )
 
 

@@ -2,10 +2,13 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import arrstab
 from arrstab.cli import EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from arrstab.stability import StabilityReport
 from arrstab.symfunc import from_text
@@ -89,6 +92,19 @@ def test_table_parallel_matches_serial():
     )
     assert code == code2 == EXIT_OK
     assert serial == parallel
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # the pool module is imported only where --jobs > 1 makes a pool
+    src = os.path.dirname(os.path.dirname(arrstab.__file__))
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import arrstab.cli; "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_output_file(tmp_path):

@@ -24,9 +24,12 @@ from arrstab.symfunc import (
     e,
     h,
     hook_series,
+    lie_series,
     omega,
     plethysm,
     schur,
+    signed_homology_series,
+    to_power,
     to_schur,
 )
 
@@ -135,6 +138,9 @@ def test_certified_bound_horizon_limited():
     report = sharp_bound_certified(2, 3, 3, horizon=4)
     assert not report.certified
     assert report.bound_text() == "horizon-limited"
+    report = sharp_bound_certified(2, 4, 4, horizon=3)
+    assert not report.certified and report.vacuous
+    assert report.bound_text() == "horizon-limited"
 
 
 def test_report_json_round_trip():
@@ -146,6 +152,12 @@ def test_report_json_round_trip():
     assert back.stable_steps == report.stable_steps
     assert back.bounds == report.bounds
     assert back.horizon == report.horizon
+    # certified, vacuous and horizon-limited rows keep their flags
+    for row in (report, sharp_bound_certified(2, 4, 4), sharp_bound_certified(2, 3, 3, horizon=4)):
+        back = StabilityReport.from_json_obj(json.loads(json.dumps(row.to_json_obj())))
+        assert back.certified == row.certified
+        assert back.vacuous == row.vacuous
+        assert back.bound_text() == row.bound_text()
 
 
 def test_report_csv_row():
@@ -199,10 +211,38 @@ def test_core_piece_matches_untruncated_hook_series():
         for k in range(d + 1, 6):
             for t in range(1, top // k + 1):
                 for r in range(1, t + 1):
-                    inner = _inner_piece(d % 2, k, r, t)
+                    inner = _inner_piece(d % 2, k % 2, r, t)
                     full = plethysm(inner, hook_series(k, top), max_degree=top)
                     for m in range(t * k, top + 1):
                         part = full.homogeneous_part(m)
                         if d % 2 == 0:
                             part = omega(part)
                         assert _core_piece(d % 2, k, r, t, m) == to_schur(part), (d, k, r, t, m)
+
+
+def _three_branch_inner(d_parity, k, r, t):
+    """Reference three-branch inner factor: both-odd parities go through
+    the signed homology series and a (-1)^t flip."""
+    if d_parity == 0:
+        base = plethysm(to_power(e(r)), lie_series(t), max_degree=t)
+        if k % 2 == 1:
+            base = omega(base)
+    elif k % 2 == 0:
+        base = plethysm(to_power(h(r)), lie_series(t), max_degree=t)
+    else:
+        base = plethysm(to_power(h(r)), signed_homology_series(t), max_degree=t)
+        if t % 2 == 1:
+            base = -base
+    return base.homogeneous_part(t)
+
+
+def test_inner_piece_one_parity_rule_matches_three_branches():
+    # the signed homology series is the sum of (-1)^j omega Lie_j, so in
+    # degree t the both-odd branch equals omega(h_r[Lie]_t): the odd-d
+    # branch twisted by omega, as for every odd k
+    for d_parity in (0, 1):
+        for k in range(4, 8):
+            for t in range(1, 9):
+                for r in range(1, t + 1):
+                    expected = _three_branch_inner(d_parity, k, r, t)
+                    assert _inner_piece(d_parity, k % 2, r, t) == expected, (d_parity, k, r, t)
