@@ -6,9 +6,13 @@ composed into the Lie series, omega-twisted for odd k, composed into the
 hook series, omega-twisted for even d, restricted in degree and padded
 by a one-row factor h_q.  The degree equation fixes the restricted
 degree at m = n - q = r + (i - t(k-2))/(d-1), independent of n, so each
-summand needs the one degree m of its core series, computed and cached
-once.  Stabilization of the resulting sequence is detected by the
-add-a-box comparison and certified against the proven rational bounds.
+summand needs the one degree m of its core series: plethysm computes
+only that degree, from hooks expanded into the power basis once each,
+and the Schur piece is cached.  The characteristic at n is the sum over
+m of C_m (the pieces of degree m) padded by h_(n-m), one horizontal
+strip per key.  Stabilization of the resulting sequence is detected by
+the add-a-box comparison and certified against the proven rational
+bounds.
 """
 
 from __future__ import annotations
@@ -26,15 +30,16 @@ from .symfunc import (
     e,
     h,
     from_text,
-    hook_series,
     lie_series,
     mul,
     omega,
+    pad,
     plethysm,
     to_power,
     to_schur,
     zero,
 )
+from .symfunc.series import hook_power_series
 
 Progress = Callable[[str], None] | None
 
@@ -72,7 +77,7 @@ def _inner_piece(d_parity: int, k_parity: int, r: int, t: int) -> SymmetricFunct
     """Degree-t inner factor in the power basis, before composing with
     the hook series."""
     base = to_power(e(r) if d_parity == 0 else h(r))
-    piece = plethysm(base, lie_series(t), max_degree=t).homogeneous_part(t)
+    piece = plethysm(base, lie_series(t), t)
     return omega(piece) if k_parity else piece
 
 
@@ -84,10 +89,8 @@ def _core_piece(d_parity: int, k: int, r: int, t: int, m: int) -> SymmetricFunct
     Each of the t hook factors has degree at least k, so hooks above
     degree m - (t-1)k never reach degree m.
     """
-    series = plethysm(
-        _inner_piece(d_parity, k % 2, r, t), hook_series(k, m - (t - 1) * k), max_degree=m
-    )
-    piece = series.homogeneous_part(m)
+    hooks = hook_power_series(k, m - (t - 1) * k)
+    piece = plethysm(_inner_piece(d_parity, k % 2, r, t), hooks, m)
     if d_parity == 0:
         piece = omega(piece)
     return to_schur(piece)
@@ -142,8 +145,9 @@ def kequal_summands(n: int, i: int, d: int, k: int) -> list[PsiParams]:
 def kequal_char(n: int, i: int, d: int, k: int) -> SymmetricFunction:
     """Characteristic of the degree-i cohomology of the k-equal complement.
 
-    Exact, homogeneous of degree n, and checked to have nonnegative
-    integer Schur coefficients.
+    The sum over m of C_m padded by h_(n-m), where C_m collects the
+    summands' Schur pieces of degree m.  Exact, homogeneous of degree n,
+    and checked to have nonnegative integer Schur coefficients.
     """
     if d < 2 or k < d + 1:
         raise ValueError("need d >= 2 and k >= d+1")
@@ -151,9 +155,13 @@ def kequal_char(n: int, i: int, d: int, k: int) -> SymmetricFunction:
         raise ValueError("n must be at least 1")
     if i < 0:
         raise ValueError("i must be nonnegative")
-    total = zero(SCHUR)
+    pieces: dict[int, SymmetricFunction] = {}
     for params in kequal_summands(n, i, d, k):
-        total = total + psi(params)
+        m = params.n - params.q
+        pieces[m] = pieces.get(m, zero(SCHUR)) + psi_degree_part(params)
+    total = zero(SCHUR)
+    for m, piece in pieces.items():
+        total = total + pad(piece, n - m)
     _check_character(total, n, f"kequal_char(n={n}, i={i}, d={d}, k={k})")
     return total
 
@@ -200,7 +208,11 @@ def general_bound(lam: LambdaSet, i: int, d: int) -> Fraction:
 
 @dataclass
 class StabilityReport:
-    """Computed characteristics over a range of n with certification."""
+    """Computed characteristics over a range of n with certification.
+
+    ``sharp_bound`` is the largest failing step of a certified window,
+    None for a vacuous or horizon-limited one.
+    """
 
     d: int
     k: int
@@ -290,7 +302,7 @@ def sharp_bound_certified(
         raise AssertionError(
             f"nonzero sequence with no failing step up to {window} (d={d}, k={k}, i={i})"
         )
-    return StabilityReport(
+    report = StabilityReport(
         d=d,
         k=k,
         i=i,
@@ -298,8 +310,11 @@ def sharp_bound_certified(
         bounds=bounds,
         chars=chars,
         stable_steps=stable_steps,
-        sharp_bound=sharp,
+        sharp_bound=None,
     )
+    if report.certified:
+        report.sharp_bound = sharp
+    return report
 
 
 def lambda_char_smalln(

@@ -8,7 +8,7 @@ the lcm of their denominators, accumulated in plain ints against the
 character columns, and divided once at the end (by that lcm, and for
 `to_power` also by z_mu).  The two changes are mutually inverse.  Schur
 products use Littlewood-Richardson expansion, power products concatenate
-keys.
+keys; a product with a one-row h_q adds horizontal strips.
 """
 
 from __future__ import annotations
@@ -164,12 +164,6 @@ class SymmetricFunction:
             return SymmetricFunction._raw(self.basis, {})
         return SymmetricFunction._raw(
             self.basis, {k: c for k, c in self._terms.items() if k.size == t}
-        )
-
-    def truncate(self, max_degree: int) -> "SymmetricFunction":
-        """Drop all terms of degree above ``max_degree``."""
-        return SymmetricFunction._raw(
-            self.basis, {k: c for k, c in self._terms.items() if k.size <= max_degree}
         )
 
     def add_box(self) -> "SymmetricFunction":
@@ -344,6 +338,19 @@ def mul(f: SymmetricFunction, g: SymmetricFunction) -> SymmetricFunction:
                 out[key] = s
     result = SymmetricFunction._raw(POWER, out)
     return to_schur(result) if f.basis is SCHUR else result
+
+
+def pad(f: SymmetricFunction, q: int) -> SymmetricFunction:
+    """The product f * h_q of a Schur-basis ``f``, equal to
+    ``mul(f, h(q))``: every key grows by each horizontal q-strip, with
+    coefficient 1 (Pieri rule, Macdonald I.(5.16))."""
+    out: dict[Partition, Coeff] = {}
+    for lam, c in f._terms.items():
+        for nu in lr.horizontal_strips(lam, q):
+            out[nu] = out.get(nu, 0) + c
+    return SymmetricFunction._raw(
+        SCHUR, {nu: c if type(c) is int else _norm(c) for nu, c in out.items() if c}
+    )
 
 
 # -- involution and basis change ---------------------------------------

@@ -1,15 +1,19 @@
 """Littlewood-Richardson tableaux, coefficients and products.
 
 Two independent code paths are kept on purpose: `lr_expand` computes a
-full Schur product by stacking horizontal strips with the lattice bound,
-while `lr_tableaux` enumerates explicit skew tableaux cell by cell.  The
-tests play them against each other and against monomial expansions.
+full Schur product by stacking horizontal strips with the lattice bound
+(`horizontal_strips`, the product with a one-row h_q, is a single such
+strip), while `lr_tableaux` enumerates explicit skew tableaux cell by
+cell.  The tests play them against each other and against monomial
+expansions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
+from operator import add
 from typing import Iterator
 
 from ..partitions import Partition
@@ -26,49 +30,46 @@ def _strip_additions(
     together with the new letter's cumulative row counts.
     """
     nrows = len(shape) + 1
-
-    def prev_through(j: int) -> int:
-        if prev_cum is None:
-            return m
-        if j < 0:
-            return 0
-        return prev_cum[j] if j < len(prev_cum) else (prev_cum[-1] if prev_cum else 0)
-
-    caps = [m]
-    for j in range(1, len(shape)):
-        caps.append(shape[j - 1] - shape[j])
-    if shape:
-        caps.append(shape[-1])
-    # spare capacity below row j, for pruning
+    # row 0 takes any number of boxes, a lower row at most the overhang
+    # of the row above it
+    caps = [m] + [shape[j - 1] - shape[j] for j in range(1, len(shape))] + list(shape[-1:])
+    # room from row j down; row j takes at least what the rows below it
+    # have no room for
     tail = [0] * (nrows + 1)
     for j in range(nrows - 1, -1, -1):
         tail[j] = tail[j + 1] + caps[j]
+    if prev_cum is None:
+        bound = [m] * nrows
+    else:
+        last = prev_cum[-1] if prev_cum else 0
+        bound = [0] + [prev_cum[j] if j < len(prev_cum) else last for j in range(nrows - 1)]
 
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    adds = [0] * nrows
 
-    def rec(j: int, remaining: int, adds: list[int], cum: int) -> None:
+    def rec(j: int, remaining: int, cum: int) -> None:
         if remaining == 0:
-            new_shape = list(shape) + [0]
-            cums = []
-            for row, a in enumerate(adds):
-                new_shape[row] += a
-            for row in range(len(new_shape)):
-                total_through = sum(adds[: row + 1])
-                cums.append(total_through)
-            while new_shape and new_shape[-1] == 0:
-                new_shape.pop()
-            out.append((tuple(new_shape), tuple(cums[: len(new_shape)])))
+            new_shape = tuple(map(add, shape, adds))
+            if adds[-1]:
+                new_shape += (adds[-1],)
+            out.append((new_shape, tuple(accumulate(adds[: len(new_shape)]))))
             return
-        if j >= nrows or tail[j] < remaining:
-            return
-        limit = min(caps[j], remaining, prev_through(j - 1) - cum)
-        for a in range(limit, -1, -1):
-            adds.append(a)
-            rec(j + 1, remaining - a, adds, cum + a)
-            adds.pop()
+        hi = min(caps[j], remaining, bound[j] - cum)
+        lo = remaining - tail[j + 1]
+        for a in range(hi, (lo if lo > 0 else 0) - 1, -1):
+            adds[j] = a
+            rec(j + 1, remaining - a, cum + a)
+        adds[j] = 0
 
-    rec(0, m, [], 0)
+    rec(0, m, 0)
     return iter(out)
+
+
+@cache
+def horizontal_strips(shape: Partition, q: int) -> tuple[Partition, ...]:
+    """The keys of s_shape * h_q, each with coefficient 1 (Pieri rule,
+    Macdonald I.(5.16)): ``shape`` plus a horizontal q-strip."""
+    return tuple(Partition(new) for new, _ in _strip_additions(tuple(shape), q, None))
 
 
 @cache

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cache
 
 from ..partitions import Partition
-from .core import POWER, SCHUR, SymmetricFunction, omega
+from .core import POWER, SCHUR, SymmetricFunction, omega, to_power
 
 
 @cache
@@ -86,3 +86,21 @@ def hook_series(k: int, max_degree: int) -> SymmetricFunction:
     for j in range(k, max_degree + 1):
         terms[Partition((j - k + 1,) + (1,) * (k - 1))] = 1
     return SymmetricFunction(SCHUR, terms)
+
+
+@cache
+def _hook_power(k: int, j: int) -> SymmetricFunction:
+    """The degree-j term of ``hook_series(k, ...)`` in the power basis."""
+    hook = Partition((j - k + 1,) + (1,) * (k - 1))
+    return to_power(SymmetricFunction._raw(SCHUR, {hook: 1}))
+
+
+def hook_power_series(k: int, max_degree: int) -> SymmetricFunction:
+    """``hook_series(k, max_degree)`` in the power basis; each hook is
+    expanded once per process, and the degrees share no key."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    return SymmetricFunction._raw(
+        POWER,
+        {key: c for j in range(k, max_degree + 1) for key, c in _hook_power(k, j).items()},
+    )

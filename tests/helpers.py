@@ -1,4 +1,4 @@
-"""Shared checkers for the acceptance suite and the property tests."""
+"""Shared checkers for the acceptance suite."""
 
 from contextlib import contextmanager
 

@@ -3,16 +3,21 @@
 ``perfbench/tracing.py`` wraps functions and methods by module attribute
 and reads memo statistics through ``cache_info()``; a refactor that
 renames or inlines one of them would silently drop its per-layer metric
-from traced runs.  The tracer is loaded by path and never installed.
+from traced runs.  The tracer is loaded by path, and installed only in
+a fresh interpreter.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -45,3 +50,25 @@ def test_traced_caches_report_statistics(tracing):
         assert callable(fn), f"{module_name}.{attr}"
         info = fn.cache_info()
         assert info.hits >= 0 and info.misses >= 0, f"{module_name}.{attr}"
+
+
+def test_traced_query_counts_plethysm_degrees():
+    # a counter reads its call's arguments, so a changed signature would
+    # zero it without failing anything; installing replaces module
+    # attributes, hence a fresh interpreter
+    script = "\n".join([
+        "import json, sys",
+        f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(TRACING.parent)!r}]",
+        "import tracing",
+        "tracer = tracing.Tracer()",
+        "tracer.install()",
+        "import arrstab",
+        "arrstab.kequal_char(6, 3, 2, 3)",
+        "print(json.dumps(tracer.metrics()))",
+    ])
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", script], capture_output=True, text=True, timeout=120, check=True
+    )
+    metrics = json.loads(done.stdout)
+    assert metrics["symfunc.plethysm.calls"] > 0
+    assert metrics["symfunc.plethysm.degree_sum"] > 0

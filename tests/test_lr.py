@@ -1,13 +1,18 @@
+from fractions import Fraction
+
 import pytest
 
 from arrstab.partitions import Partition, partitions_of
 from arrstab.symfunc import (
     LRTableau,
+    SCHUR,
+    SymmetricFunction,
     h,
     lr_coeff,
     lr_expand,
     lr_tableaux,
     mul,
+    pad,
     phi_shift,
     phi_unshift,
     schur,
@@ -31,6 +36,29 @@ def test_pieri_row():
         + schur((3, 3))
         + schur((3, 2, 1))
     )
+
+
+def test_pad_matches_mul_by_one_row():
+    shapes = [lam for size in range(9) for lam in partitions_of(size)]
+    for q in range(7):
+        for lam in shapes:
+            assert pad(schur(lam), q) == mul(schur(lam), h(q)), (lam, q)
+        # rational and cancelling coefficients, several degrees at once
+        f = SymmetricFunction(
+            SCHUR, {(2, 1): Fraction(1, 2), (3,): Fraction(1, 2), (1, 1): -2, (): 3}
+        )
+        assert pad(f, q) == mul(f, h(q)), q
+
+
+def test_pad_matches_tableau_counts():
+    # the enumerator fills cells one by one and shares no code with the
+    # strip routine behind both pad and lr_expand
+    for size in range(7):
+        for lam in partitions_of(size):
+            for q in range(1, 5):
+                padded = pad(schur(lam), q)
+                for nu in partitions_of(size + q):
+                    assert padded.coefficient(nu) == lr_coeff(lam, (q,), nu), (lam, q, nu)
 
 
 def test_expand_matches_enumerator():

@@ -13,11 +13,13 @@ from arrstab.symfunc import (
     e,
     h,
     mul,
+    one,
     p,
     plethysm,
     schur,
     to_power,
     to_schur,
+    zero,
 )
 
 
@@ -70,10 +72,27 @@ def test_scalar_linear_in_inner():
 
 
 def test_truncation_matches_full():
-    g = h(1) + h(2) + h(3)
-    full = plethysm(h(2), g)
-    capped = plethysm(h(2), g, max_degree=4)
-    assert capped == full.truncate(4)
+    # the one-degree plethysm is the full one's homogeneous part, for outer
+    # functions in either basis, inhomogeneous, one with a constant term,
+    # and inner ones with constant, degree-1 and virtual terms, and zero
+    fs = [
+        h(2),
+        e(3) + 2 * schur((2, 1)) - h(1) + one(),
+        p((2, 1)) - Fraction(1, 2) * p((3,)) + 3 * p(()),
+    ]
+    gs = [
+        h(1) + h(2) + h(3),
+        one() + 2 * h(1),
+        schur((2,)) - schur((1, 1)) + h(1),
+        p((1,)) - Fraction(2, 3) * p((2,)) + 2 * p(()),
+        zero(POWER),
+    ]
+    for f in fs:
+        for g in gs:
+            full = plethysm(f, g)
+            top = full.degree() or 0
+            for m in range(-1, top + 2):
+                assert plethysm(f, g, m) == full.homogeneous_part(m), (f, g, m)
 
 
 def _family():

@@ -17,8 +17,10 @@ from arrstab.symfunc import (
     partition_homology_character,
     schur,
     signed_homology_series,
+    to_power,
     to_schur,
 )
+from arrstab.symfunc.series import hook_power_series
 
 
 def test_moebius():
@@ -73,3 +75,13 @@ def test_hook_series():
     assert not hook_series(4, 3)
     u9 = hook_series(5, 9)
     assert all(key.conjugate()[0] == 5 for key in u9.support())
+
+
+def test_hook_power_series_is_hook_series_in_power_basis():
+    for k in range(1, 6):
+        for top in range(0, 12):
+            series = hook_power_series(k, top)
+            assert series.basis is POWER
+            assert series == to_power(hook_series(k, top)), (k, top)
+    with pytest.raises(ValueError):
+        hook_power_series(0, 3)

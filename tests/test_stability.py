@@ -138,6 +138,9 @@ def test_certified_bound_horizon_limited():
     report = sharp_bound_certified(2, 3, 3, horizon=4)
     assert not report.certified
     assert report.bound_text() == "horizon-limited"
+    # step 4 fails inside the short window, but it certifies nothing
+    assert not report.stable_steps[4]
+    assert report.sharp_bound is None
     report = sharp_bound_certified(2, 4, 4, horizon=3)
     assert not report.certified and report.vacuous
     assert report.bound_text() == "horizon-limited"
@@ -152,12 +155,19 @@ def test_report_json_round_trip():
     assert back.stable_steps == report.stable_steps
     assert back.bounds == report.bounds
     assert back.horizon == report.horizon
-    # certified, vacuous and horizon-limited rows keep their flags
-    for row in (report, sharp_bound_certified(2, 4, 4), sharp_bound_certified(2, 3, 3, horizon=4)):
+    # certified, vacuous and horizon-limited rows keep their flags and
+    # their sharp bound, which only a certified row has
+    rows = [
+        (report, 6),
+        (sharp_bound_certified(2, 4, 4), None),
+        (sharp_bound_certified(2, 3, 3, horizon=4), None),
+    ]
+    for row, sharp in rows:
         back = StabilityReport.from_json_obj(json.loads(json.dumps(row.to_json_obj())))
         assert back.certified == row.certified
         assert back.vacuous == row.vacuous
         assert back.bound_text() == row.bound_text()
+        assert row.sharp_bound == back.sharp_bound == sharp
 
 
 def test_report_csv_row():
@@ -212,7 +222,9 @@ def test_core_piece_matches_untruncated_hook_series():
             for t in range(1, top // k + 1):
                 for r in range(1, t + 1):
                     inner = _inner_piece(d % 2, k % 2, r, t)
-                    full = plethysm(inner, hook_series(k, top), max_degree=top)
+                    # hooks above top - (t-1)k reach no degree <= top, so
+                    # every degree up to top of this full plethysm is exact
+                    full = plethysm(inner, hook_series(k, top - (t - 1) * k))
                     for m in range(t * k, top + 1):
                         part = full.homogeneous_part(m)
                         if d % 2 == 0:
@@ -222,15 +234,18 @@ def test_core_piece_matches_untruncated_hook_series():
 
 def _three_branch_inner(d_parity, k, r, t):
     """Reference three-branch inner factor: both-odd parities go through
-    the signed homology series and a (-1)^t flip."""
+    the signed homology series and a (-1)^t flip.  The r factors of the
+    outer function have degree at least 1 each, so series terms above
+    t - r + 1 reach no degree <= t and the full plethysm stays small."""
+    top = t - r + 1
     if d_parity == 0:
-        base = plethysm(to_power(e(r)), lie_series(t), max_degree=t)
+        base = plethysm(to_power(e(r)), lie_series(top))
         if k % 2 == 1:
             base = omega(base)
     elif k % 2 == 0:
-        base = plethysm(to_power(h(r)), lie_series(t), max_degree=t)
+        base = plethysm(to_power(h(r)), lie_series(top))
     else:
-        base = plethysm(to_power(h(r)), signed_homology_series(t), max_degree=t)
+        base = plethysm(to_power(h(r)), signed_homology_series(top))
         if t % 2 == 1:
             base = -base
     return base.homogeneous_part(t)
@@ -246,3 +261,16 @@ def test_inner_piece_one_parity_rule_matches_three_branches():
                 for r in range(1, t + 1):
                     expected = _three_branch_inner(d_parity, k, r, t)
                     assert _inner_piece(d_parity, k % 2, r, t) == expected, (d_parity, k, r, t)
+
+
+def test_kequal_char_matches_sum_of_psi():
+    # one pad per piece degree by horizontal strips against the per-summand
+    # reference, each summand padded through the Littlewood-Richardson product
+    for d in (2, 3, 4):
+        for k in range(d + 1, d + 4):
+            for n in range(1, 14):
+                for i in range(0, d * n + 1):
+                    expected = SymmetricFunction(SCHUR)
+                    for params in kequal_summands(n, i, d, k):
+                        expected = expected + psi(params)
+                    assert kequal_char(n, i, d, k) == expected, (n, i, d, k)
