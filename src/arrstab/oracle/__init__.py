@@ -69,13 +69,14 @@ class EquivariantCharacter:
 
 class _Orbit:
     """One orbit of a lattice at its element ``pi``: the homology of the
-    interval below ``pi`` and its stabilizer's classes, with each degree's
-    traces and the odd-d orientation signs computed on first use."""
+    interval below ``pi`` and its stabilizer's classes (shared with every
+    lattice that has ``pi``), with each degree's traces and the odd-d
+    orientation signs computed on first use."""
 
     def __init__(self, lattice: PiLambdaLattice, pi: SetPartition):
         self.pi = pi
         self.homology = IntervalHomology(lattice.open_interval(pi))
-        self.classes = conjugacy_classes(stabilizer(pi), stabilizer_generators(pi))
+        self.classes = _stabilizer_classes(pi)
         self.order = sum(len(cls) for cls in self.classes)
         self._traces: dict[int, list[int]] = {}
 
@@ -88,6 +89,13 @@ class _Orbit:
     def odd_signs(self) -> list[int]:
         """The orientation character for odd d (for even d it is trivial)."""
         return [orientation_sign(self.pi, 1, cls[0]) for cls in self.classes]
+
+
+@functools.cache
+def _stabilizer_classes(pi: SetPartition) -> list[list[Perm]]:
+    """Conjugacy classes of the stabilizer of ``pi``, built once for
+    every lattice in which ``pi`` is an orbit's canonical element."""
+    return conjugacy_classes(stabilizer(pi), stabilizer_generators(pi))
 
 
 @functools.cache

@@ -3,19 +3,29 @@
 Simplices are chains of poset elements; the boundary is the usual
 alternating face sum, augmented by the empty simplex in degree -1, so
 the empty complex has one-dimensional homology there.  Each boundary
-map is column-reduced once, from the top degree down, with the lows
-found one degree higher cleared (``linalg.eliminate``).  Reducing the
-boundaries of the j-simplices gives the rank of that map, the echelon
-of the boundaries in degree j-1, and one cycle z_tau for every
-essential j-simplex tau: a column that reduces to zero without having
-been cleared.  These cycles span homology in degree j.
+map is column-reduced once for its rank, from the top degree down, with
+the lows found one degree higher cleared (``linalg.eliminate``); the
+columns of the j-simplices that are neither cleared nor pivots count
+the homology in degree j.
 
-The lows of the boundary echelon and of the essential cycles are
-distinct and together span the cycles, so a symmetry's trace is read
-off without solving anything: g*z_tau is reduced from the top against
-them until its largest index is at most tau, and what is left at tau,
-over z_tau[tau], is the coefficient of z_tau.  Rows below tau never
-reach tau, so the reduction keeps only the rows at or above it.
+A permutation g of the poset acts on chains without signs, so by the
+Hopf trace formula the alternating sum of its traces on homology is the
+alternating count of the chains it fixes, the reduced Euler
+characteristic of the fixed subposet.  That gives the trace in the
+degree with the most homology (the Lefschetz degree) from the traces in
+the others, and an interval with homology in one degree only, as most
+are, needs no cycles at all.
+
+Any other degree j is reduced on first use: the boundaries of the
+j-simplices are eliminated again, now with relation vectors, giving
+one cycle z_tau for every essential j-simplex tau: a column that
+reduces to zero without having been cleared.  The lows of the boundary
+echelon one degree up and of the essential cycles are distinct and
+together span the cycles, so a trace is read off without solving
+anything: g*z_tau is reduced from the top against them until its
+largest index is at most tau, and what is left at tau, over
+z_tau[tau], is the coefficient of z_tau.  Rows below tau never reach
+tau, so the reduction keeps only the rows at or above it.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ class IntervalHomology:
         nverts = len(self.vertices)
         owners = [el.block_of() for el in self.vertices]
         # a coarser vertex has fewer blocks, so it comes later
-        above = [
+        self._above = [
             [j for j in range(i + 1, nverts) if self.vertices[i].refines(owners[j])]
             for i in range(nverts)
         ]
@@ -57,24 +67,31 @@ class IntervalHomology:
         while frontier:
             self.simplices[dim] = frontier
             self.index[dim] = {s: c for c, s in enumerate(frontier)}
-            frontier = [ch + (m,) for ch in frontier for m in above[ch[-1]]]
+            frontier = [ch + (m,) for ch in frontier for m in self._above[ch[-1]]]
             dim += 1
         self.top = dim - 1
 
         dims: dict[int, int] = {}
-        self._cycles: dict[int, dict[int, dict[int, int]]] = {}
-        self._basis: dict[int, dict[int, dict[int, int]]] = {}
+        # the boundary echelon one degree up, kept for each degree with homology
+        self._echelon_above: dict[int, dict[int, dict[int, int]]] = {}
         boundaries: dict[int, dict[int, int]] = {}
         for j in range(self.top, -1, -1):
-            echelon, cycles = eliminate(self._boundary_columns(j), cleared=boundaries)
-            if cycles:
-                dims[j] = len(cycles)
-                self._cycles[j] = cycles
-                self._basis[j] = boundaries | cycles
+            columns = self._boundary_columns(j)
+            echelon, _ = eliminate(columns, cleared=boundaries, relations=False)
+            essential = len(columns) - len(boundaries) - len(echelon)
+            if essential:
+                dims[j] = essential
+                self._echelon_above[j] = boundaries
             boundaries = echelon
         if not boundaries:
             dims[-1] = 1
         self.dims = dict(sorted(dims.items()))
+        # of two degrees with equal homology the higher has the longer
+        # chains, so it is the one not to reduce
+        self.lefschetz_degree = max(self.dims, key=lambda j: (self.dims[j], j))
+        self._cycles: dict[int, dict[int, dict[int, int]]] = {}
+        self._basis: dict[int, dict[int, dict[int, int]]] = {}
+        self._reduced_traces: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def chain_count(self, degree: int) -> int:
         return len(self.simplices.get(degree, ()))
@@ -102,7 +119,51 @@ class IntervalHomology:
         return out
 
     def trace(self, degree: int, perm: tuple[int, ...]) -> int:
-        """Trace of the permutation on reduced homology in ``degree``.
+        """Trace of the permutation on reduced homology in ``degree``."""
+        if degree not in self.dims:
+            return 0
+        if degree == self.lefschetz_degree:
+            return self._lefschetz_trace(degree, perm)
+        return self._reduced_trace(degree, perm)
+
+    def _lefschetz_trace(self, degree: int, perm: tuple[int, ...]) -> int:
+        """The trace in ``degree`` by the Hopf trace formula: the fixed
+        subposet's reduced Euler characteristic less the signed reduced
+        traces in the other degrees, with the sign of ``degree``."""
+        others = sum(
+            (-1 if j % 2 else 1) * self._reduced_trace(j, perm) for j in self.dims if j != degree
+        )
+        return (-1 if degree % 2 else 1) * (self._fixed_euler(self.vertex_map(perm)) - others)
+
+    def _fixed_euler(self, vmap: list[int]) -> int:
+        """Reduced Euler characteristic of the order complex of the
+        vertices that ``vmap`` fixes, in one pass from the top: the
+        chains whose least element is v count 1 - (those of the fixed
+        vertices above v), with sign (-1)^dimension."""
+        starting = [0] * len(vmap)
+        total = -1
+        for v in range(len(vmap) - 1, -1, -1):
+            if vmap[v] == v:
+                starting[v] = 1 - sum(starting[w] for w in self._above[v])
+                total += starting[v]
+        return total
+
+    def _reduced_cycles(self, degree: int) -> tuple[dict, dict]:
+        """The essential cycles of ``degree`` and the basis they reduce
+        against, the boundary echelon one degree up and the cycles with
+        rows in descending order, built on first use."""
+        if degree not in self._cycles:
+            above = self._echelon_above[degree]
+            _, cycles = eliminate(self._boundary_columns(degree), cleared=above)
+            self._cycles[degree] = cycles
+            self._basis[degree] = {
+                low: dict(sorted(col.items(), reverse=True)) for low, col in above.items()
+            } | cycles
+        return self._cycles[degree], self._basis[degree]
+
+    def _reduced_trace(self, degree: int, perm: tuple[int, ...]) -> int:
+        """Trace on ``degree`` by reducing the moved essential cycles,
+        kept per permutation for the Lefschetz degree to reuse.
 
         Each essential cycle z_tau is moved by the permutation and
         reduced from the top; the fraction-free steps multiply it by
@@ -111,15 +172,12 @@ class IntervalHomology:
         cycle's entries at rows >= tau are kept, and each basis column
         is read down to row tau (its rows are in descending order).
         """
-        if self.dims.get(degree, 0) == 0:
-            return 0
-        if degree == -1:
-            return 1
+        if (degree, perm) in self._reduced_traces:
+            return self._reduced_traces[degree, perm]
+        cycles, basis = self._reduced_cycles(degree)
         vmap = self.vertex_map(perm)
         simp = self.simplices[degree]
         idx = self.index[degree]
-        basis = self._basis[degree]
-        cycles = self._cycles[degree]
         # the cycles share most of their chains: move each chain once
         moved = {
             a: idx[tuple(map(vmap.__getitem__, simp[a]))]
@@ -142,6 +200,7 @@ class IntervalHomology:
             total += Fraction(x[tau], den) if rest else coeff
         if total != int(total):
             raise AssertionError(f"non-integral homology trace {total}")
+        self._reduced_traces[degree, perm] = int(total)
         return int(total)
 
     def trace_on_chains(self, degree: int, perm: tuple[int, ...]) -> int:

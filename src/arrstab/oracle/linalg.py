@@ -4,13 +4,13 @@ Columns are integer dicts (row -> value), reduced left to right as in
 the standard persistence algorithm: while a column's largest row index
 (its low) is the low of an earlier reduced column, the two are combined
 fraction-free so that the low cancels.  A column whose low is new is
-stored, gcd-reduced, as the echelon column of that row.  Every column
-carries its relation vector, the combination of input columns it now
-equals; a column that reduces to zero leaves that relation, a kernel
-vector whose largest index is the column itself.  Columns named as
-cleared are skipped: in a chain complex these are the lows of the
-degree above, which are known to reduce to zero (the clearing twist of
-Chen and Kerber).
+stored, gcd-reduced, as the echelon column of that row.  Unless only
+the rank is asked for, every column carries its relation vector, the
+combination of input columns it now equals; a column that reduces to
+zero leaves that relation, a kernel vector whose largest index is the
+column itself.  Columns named as cleared are skipped: in a chain
+complex these are the lows of the degree above, which are known to
+reduce to zero (the clearing twist of Chen and Kerber).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def _divide_content(*vectors: dict[int, int]) -> None:
 
 
 def eliminate(
-    columns: Sequence[dict[int, int]], cleared: Container[int] = ()
+    columns: Sequence[dict[int, int]], cleared: Container[int] = (), relations: bool = True
 ) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
     """Reduce the columns; return the echelon and the relations.
 
@@ -73,27 +73,32 @@ def eliminate(
     relation lists its rows in descending order, so a reduction that
     only needs the rows at or above some row can stop early
     (``combine``'s ``stop``).
+
+    With ``relations=False`` this is a rank pass: no relation vectors
+    are carried or returned, and the echelon columns are left unsorted.
     """
     echelon: dict[int, dict[int, int]] = {}
     pivot_relations: dict[int, dict[int, int]] = {}
-    relations: dict[int, dict[int, int]] = {}
+    found: dict[int, dict[int, int]] = {}
     for c, column in enumerate(columns):
         if c in cleared:
             continue
         col = {i: v for i, v in column.items() if v}
-        rel = {c: 1}
+        rel = {c: 1} if relations else {}
         while col:
             low = max(col)
             pivot = echelon.get(low)
             if pivot is None:
                 _divide_content(col, rel)
-                echelon[low] = dict(sorted(col.items(), reverse=True))
+                echelon[low] = dict(sorted(col.items(), reverse=True)) if relations else col
                 pivot_relations[low] = rel
                 break
             a, b = cancel_factors(pivot[low], col[low])
             combine(a, col, b, pivot)
-            combine(a, rel, b, pivot_relations[low])
+            if relations:
+                combine(a, rel, b, pivot_relations[low])
         else:
-            _divide_content(rel)
-            relations[c] = dict(sorted(rel.items(), reverse=True))
-    return echelon, relations
+            if relations:
+                _divide_content(rel)
+                found[c] = dict(sorted(rel.items(), reverse=True))
+    return echelon, found

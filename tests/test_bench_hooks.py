@@ -72,3 +72,26 @@ def test_traced_query_counts_plethysm_degrees():
     metrics = json.loads(done.stdout)
     assert metrics["symfunc.plethysm.calls"] > 0
     assert metrics["symfunc.plethysm.degree_sum"] > 0
+
+
+def test_traced_lattice_model_reaches_every_layer():
+    # the rank pass, the chains and the traces each run behind a traced
+    # name, so a lattice-model value with homology reaches all three
+    script = "\n".join([
+        "import json, sys",
+        f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(TRACING.parent)!r}]",
+        "import tracing",
+        "tracer = tracing.Tracer()",
+        "tracer.install()",
+        "from arrstab import Partition",
+        "from arrstab.oracle import sw_complement_char",
+        "assert sw_complement_char(5, 2, [Partition((2, 1, 1, 1))], 3)",
+        "print(json.dumps(tracer.metrics()))",
+    ])
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", script], capture_output=True, text=True, timeout=120, check=True
+    )
+    metrics = json.loads(done.stdout)
+    assert metrics["oracle.trace.calls"] > 0
+    assert metrics["oracle.eliminate.rows"] > 0
+    assert metrics["oracle.IntervalHomology.chains"] > 0

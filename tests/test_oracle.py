@@ -175,6 +175,8 @@ def test_traces_match_dense_reference():
         # the k=3, n=6 top interval has homology in two adjacent degrees
         (build_pi_lambda(6, [Partition((3, 1, 1, 1))]), Partition((6,)), {1: 10, 2: 10}, 170),
         (full_lattice(5), Partition((5,)), {2: 24}, 205),
+        (build_pi_lambda(5, [Partition((2, 2, 1))]), Partition((5,)), {1: 16}, 45),
+        (build_pi_lambda(7, [Partition((5, 1, 1))]), Partition((7,)), {1: 15}, 42),
     ]
     for lat, mu, dims, edges in cases:
         rep = lat.canonical_of_type(mu)
@@ -195,12 +197,15 @@ def test_traces_match_dense_reference():
 def test_trace_reads_basis_entries_at_the_cycle_row():
     # the reductions leave no basis entry at an essential cycle's own
     # row, so add each essential cycle to the next one: the basis keeps
-    # its lows and spans the same homology, and the traces stay the same
-    lat = full_lattice(5)
-    rep = lat.canonical_of_type(Partition((5,)))
+    # its lows and spans the same homology, and the traces stay the same.
+    # Of the k=3, n=6 top's two degrees, degree 1 is the one reduced.
+    lat = build_pi_lambda(6, [Partition((3, 1, 1, 1))])
+    rep = lat.canonical_of_type(Partition((6,)))
+    reference = IntervalHomology(lat.open_interval(rep))
+    expected = {cls[0]: reference.trace(1, cls[0]) for cls in classes_of(rep)}
     hom = IntervalHomology(lat.open_interval(rep))
-    expected = {cls[0]: hom.trace(2, cls[0]) for cls in classes_of(rep)}
-    cycles = hom._cycles[2]
+    assert (hom.dims, hom.lefschetz_degree) == ({1: 10, 2: 10}, 2)
+    cycles, basis = hom._reduced_cycles(1)
     taus = list(cycles)
     mixed = {taus[0]: cycles[taus[0]]}
     for prev, tau in zip(taus, taus[1:]):
@@ -208,10 +213,51 @@ def test_trace_reads_basis_entries_at_the_cycle_row():
         combine(1, vec, -1, cycles[prev])
         mixed[tau] = dict(sorted(vec.items(), reverse=True))
         assert prev in mixed[tau]
-    hom._cycles[2] = mixed
-    hom._basis[2] = {**hom._basis[2], **mixed}
+    hom._cycles[1] = mixed
+    hom._basis[1] = {**basis, **mixed}
     for g, value in expected.items():
-        assert hom.trace(2, g) == value
+        assert hom.trace(1, g) == value
+
+
+def _oracle_verify_lattices():
+    """The lattices of the formula-against-model and base-set checks:
+    k-equal for k = 3 (n <= 6) and k = 4, 5 (n <= 7), and the padded
+    base sets [2] and [2,2] (n <= 6)."""
+    bases = [((3,), 6), ((4,), 7), ((5,), 7), ((2,), 6), ((2, 2), 6)]
+    return [
+        build_pi_lambda(n, [Partition(base).pad_to(n)])
+        for base, n_top in bases
+        for n in range(sum(base), n_top + 1)
+    ]
+
+
+def test_lefschetz_trace_matches_reduction():
+    # in every degree with homology, the Hopf trace formula over the
+    # fixed chains gives the trace that reducing the moved cycles gives;
+    # at n=8, the k=4 top has two degrees of equal homology and the k=3
+    # interval below type (7,1) has most of its homology below the top
+    k4 = build_pi_lambda(8, [Partition((4, 1, 1, 1, 1))], limit=8)
+    k3 = build_pi_lambda(8, [Partition((3, 1, 1, 1, 1, 1))], limit=8)
+    cases = [
+        (lat, lat.canonical_of_type(mu))
+        for lat in _oracle_verify_lattices()
+        for mu in lat.types_present()
+    ] + [(k4, k4.canonical_of_type(Partition((8,)))), (k3, k3.canonical_of_type(Partition((7, 1))))]
+    assert len(cases) == 66
+    multi = 0
+    for lat, rep in cases:
+        hom = IntervalHomology(lat.open_interval(rep))
+        if -1 in hom.dims:
+            continue
+        assert hom.dims[hom.lefschetz_degree] == max(hom.dims.values())
+        multi += len(hom.dims) > 1
+        reps = [cls[0] for cls in classes_of(rep)]
+        traces = {(j, g): hom.trace(j, g) for j in hom.dims for g in reps}
+        # the Lefschetz degree is traced without building its cycles
+        assert set(hom._cycles) == set(hom.dims) - {hom.lefschetz_degree}
+        for (j, g), value in traces.items():
+            assert hom._lefschetz_trace(j, g) == hom._reduced_trace(j, g) == value
+    assert multi == 3
 
 
 def test_lattice_two_equal_is_everything():
@@ -555,7 +601,7 @@ def test_sw_matches_formula_k3_n7():
         assert kequal_char(7, i, 2, 3) == sw_complement_char(7, 2, types, i, limit=7)
 
 
-@pytest.mark.parametrize("d,k", [(2, 4), (3, 5)])
+@pytest.mark.parametrize("d,k", [(2, 3), (2, 4), (3, 5)])
 def test_sw_matches_formula_n8(d, k):
     types = [Partition((k,) + (1,) * (8 - k))]
     for i in range(d * 8):
