@@ -10,6 +10,7 @@ machine-parseable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -87,7 +88,10 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves
+    it unchanged."""
     parser = _Parser(prog="arrstab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -19,11 +19,10 @@ from ..symfunc import POWER, SymmetricFunction, to_schur, zero
 from .groups import (
     Perm,
     class_function_to_characteristic,
-    conjugacy_classes,
     induced_character,
     orientation_sign,
-    stabilizer,
-    stabilizer_generators,
+    stabilizer_classes,
+    stabilizer_order,
 )
 from .homology import IntervalHomology
 from .linalg import eliminate
@@ -77,25 +76,28 @@ class _Orbit:
         self.pi = pi
         self.homology = IntervalHomology(lattice.open_interval(pi))
         self.classes = _stabilizer_classes(pi)
-        self.order = sum(len(cls) for cls in self.classes)
+        self.order = stabilizer_order(pi)
+        if sum(size for _, size in self.classes) != self.order:
+            raise AssertionError(f"{pi!r}: class sizes do not sum to the order {self.order}")
         self._traces: dict[int, list[int]] = {}
 
     def traces(self, degree: int) -> list[int]:
         if degree not in self._traces:
-            self._traces[degree] = [self.homology.trace(degree, cls[0]) for cls in self.classes]
+            self._traces[degree] = [self.homology.trace(degree, rep) for rep, _ in self.classes]
         return self._traces[degree]
 
     @functools.cached_property
     def odd_signs(self) -> list[int]:
         """The orientation character for odd d (for even d it is trivial)."""
-        return [orientation_sign(self.pi, 1, cls[0]) for cls in self.classes]
+        return [orientation_sign(self.pi, 1, rep) for rep, _ in self.classes]
 
 
 @functools.cache
-def _stabilizer_classes(pi: SetPartition) -> list[list[Perm]]:
-    """Conjugacy classes of the stabilizer of ``pi``, built once for
-    every lattice in which ``pi`` is an orbit's canonical element."""
-    return conjugacy_classes(stabilizer(pi), stabilizer_generators(pi))
+def _stabilizer_classes(pi: SetPartition) -> tuple[tuple[Perm, int], ...]:
+    """One representative and the size of each conjugacy class of the
+    stabilizer of ``pi``, built once for every lattice in which ``pi``
+    is an orbit's canonical element."""
+    return tuple(stabilizer_classes(pi))
 
 
 @functools.cache
@@ -125,7 +127,7 @@ def interval_homology(
     orbit = _Orbit(lattice, pi)
     char = EquivariantCharacter(
         group_order=orbit.order,
-        classes=tuple((cls[0], len(cls)) for cls in orbit.classes),
+        classes=orbit.classes,
         values={j: tuple(orbit.traces(j)) for j in orbit.homology.dims},
     )
     return dict(orbit.homology.dims), char

@@ -1,7 +1,10 @@
 """Symmetric group bookkeeping: stabilizers, classes, induction, signs.
 
-Permutations are 0-indexed image tuples.  A subgroup class function is
-given by one value per conjugacy class and is induced to the full
+Permutations are 0-indexed image tuples.  The stabilizer of a set
+partition is a product of wreath products S_b wr S_m, one per block
+size, and its conjugacy classes come from their cycle data without
+listing the group (``stabilizer_classes``).  A subgroup class function
+is given by one value per conjugacy class and is induced to the full
 symmetric group by the Frobenius formula
 
     Ind chi(mu) = z_mu / |H| * sum of chi(h) over h in H of cycle type mu,
@@ -13,12 +16,14 @@ functions turn into power-sum expansions through the cycle-type map.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
+from math import factorial, prod
 from typing import Sequence
 
-from ..partitions import Partition, SetPartition
+from ..partitions import Partition, SetPartition, partitions_of
 from ..symfunc import POWER, SymmetricFunction
 from ..symfunc.characters import zee
 
@@ -58,10 +63,77 @@ def _blocks_by_size(pi: SetPartition) -> list[list[tuple[int, ...]]]:
     return list(by_size.values())
 
 
+def stabilizer_order(pi: SetPartition) -> int:
+    """Order of the stabilizer: b!^m * m! for the m blocks of each size b."""
+    return prod(
+        factorial(len(blocks[0])) ** len(blocks) * factorial(len(blocks))
+        for blocks in _blocks_by_size(pi)
+    )
+
+
+def stabilizer_classes(pi: SetPartition) -> list[tuple[Perm, int]]:
+    """One representative and the size of each conjugacy class of the
+    stabilizer of pi.  A class of the product over block sizes is one
+    class of each factor; its representative moves each factor's points
+    as that factor's does, and its size is the product of theirs."""
+    classes = []
+    for choice in product(*map(_wreath_classes, _blocks_by_size(pi))):
+        g = list(range(pi.n))
+        for moves, _ in choice:
+            for x, y in moves:
+                g[x] = y
+        classes.append((tuple(g), prod(size for _, size in choice)))
+    return classes
+
+
+def _wreath_classes(blocks: list[tuple[int, ...]]) -> list[tuple[list[tuple[int, int]], int]]:
+    """The classes of S_b wr S_m on m blocks of size b, as the moves
+    (point, image) of a representative and the class size.
+
+    A class is a multiset of pairs (l, rho), with the l summing to m and
+    rho a partition of b: a cycle of l blocks whose cycle product has
+    type rho (Macdonald I, Appendix B).  The representative sends l
+    consecutive blocks round a cycle by the identity bijections and
+    closes it by a permutation of type rho.  A pair of multiplicity a
+    contributes a! (l z_rho)^a to the centralizer order.
+    """
+    b, m = len(blocks[0]), len(blocks)
+    shapes = list(partitions_of(b))
+    classes = []
+    for lengths in partitions_of(m):
+        runs = Counter(lengths)
+        for choice in product(*(combinations_with_replacement(shapes, a) for a in runs.values())):
+            moves: list[tuple[int, int]] = []
+            centralizer, start = 1, 0
+            for length, rhos in zip(runs, choice):
+                for rho, a in Counter(rhos).items():
+                    centralizer *= factorial(a) * (length * zee(tuple(rho))) ** a
+                for rho in rhos:
+                    cycle = blocks[start : start + length]
+                    start += length
+                    for source, image in zip(cycle, cycle[1:]):
+                        moves += zip(source, image)
+                    moves += zip(cycle[-1], [cycle[0][j] for j in _permutation_of_type(rho)])
+            classes.append((moves, factorial(b) ** m * factorial(m) // centralizer))
+    return classes
+
+
+def _permutation_of_type(rho: Partition) -> Perm:
+    """The permutation of 0..|rho|-1 whose cycles are consecutive runs
+    of lengths rho."""
+    perm: list[int] = []
+    for part in rho:
+        start = len(perm)
+        perm += [start + (j + 1) % part for j in range(part)]
+    return tuple(perm)
+
+
 def stabilizer(pi: SetPartition) -> list[Perm]:
     """All permutations fixing the set partition blockwise-setwise,
     sorted: any permutation of the blocks of each size, then any
-    bijection from each block onto its image block."""
+    bijection from each block onto its image block.  With
+    ``conjugacy_classes`` it is the listed reference for
+    ``stabilizer_classes``; the lattice model lists no group."""
     factors = []
     for blocks in _blocks_by_size(pi):
         sources = [x for block in blocks for x in block]
@@ -146,20 +218,21 @@ def orientation_sign(pi: SetPartition, d: int, g: Perm) -> int:
 
 
 def induced_character(
-    classes: Sequence[Sequence[Perm]], values: Sequence[Fraction | int]
+    classes: Sequence[tuple[Perm, int]], values: Sequence[Fraction | int]
 ) -> dict[Partition, Fraction]:
     """Induce a subgroup class function up to the symmetric group.
 
-    ``classes`` are the subgroup's conjugacy classes and ``values[j]``
-    is the function's value on ``classes[j]``.  The result holds the
-    induced value at every cycle type that meets the subgroup; it
-    vanishes at every other type.
+    ``classes`` holds one representative and the size of each of the
+    subgroup's conjugacy classes, and ``values[j]`` is the function's
+    value on ``classes[j]``.  The result holds the induced value at
+    every cycle type that meets the subgroup; it vanishes at every
+    other type.
     """
-    order = sum(len(cls) for cls in classes)
+    order = sum(size for _, size in classes)
     sums: dict[Partition, Fraction | int] = {}
-    for cls, val in zip(classes, values, strict=True):
-        mu = cycle_type(cls[0])
-        sums[mu] = sums.get(mu, 0) + len(cls) * val
+    for (rep, size), val in zip(classes, values, strict=True):
+        mu = cycle_type(rep)
+        sums[mu] = sums.get(mu, 0) + size * val
     return {mu: Fraction(zee(tuple(mu)) * s, order) for mu, s in sums.items()}
 
 

@@ -35,6 +35,7 @@ from typing import Sequence
 
 from ..partitions import SetPartition
 from .linalg import cancel_factors, combine, eliminate
+from .posets import pair_mask
 
 
 class IntervalHomology:
@@ -52,13 +53,16 @@ class IntervalHomology:
         counts = [len(el.blocks) for el in self.vertices]
         if any(a < b for a, b in zip(counts, counts[1:])):
             raise ValueError("vertices must be listed with non-increasing block counts")
-        self.vertex_index = {el.labels(): i for i, el in enumerate(self.vertices)}
+        labels = [el.labels() for el in self.vertices]
+        self.vertex_index = {lab: i for i, lab in enumerate(labels)}
         nverts = len(self.vertices)
-        owners = [el.block_of() for el in self.vertices]
-        # a coarser vertex has fewer blocks, so it comes later
+        # a coarser vertex has fewer blocks, so it comes later; it lies
+        # above when every pair sharing a block below shares one above
+        masks = [pair_mask(lab) for lab in labels]
+        outside = [~mask for mask in masks]
         self._above = [
-            [j for j in range(i + 1, nverts) if self.vertices[i].refines(owners[j])]
-            for i in range(nverts)
+            [j for j in range(i + 1, nverts) if not mask & outside[j]]
+            for i, mask in enumerate(masks)
         ]
         self.simplices: dict[int, list[tuple[int, ...]]] = {-1: [()]}
         self.index: dict[int, dict[tuple[int, ...], int]] = {-1: {(): 0}}

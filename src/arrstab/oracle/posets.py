@@ -4,15 +4,18 @@ The lattice generated by all set partitions of prescribed types is
 closed under join (coordinatewise merging), is stable under the
 symmetric group, and carries the refinement order.  Elements are stored
 in a deterministic order, indexed by type; intervals are found on
-demand.
+demand.  A set partition refines another exactly when every pair of
+points sharing a block of the first shares one of the second, so the
+order is tested on pair masks (``pair_mask``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
-from ..partitions import Partition, SetPartition, all_set_partitions
+from ..partitions import Partition, SetPartition
 
 
 class OracleLimitError(ValueError):
@@ -42,6 +45,7 @@ class PiLambdaLattice:
         self.index: dict[SetPartition, int] = {
             el: i for i, el in enumerate(self.elements)
         }
+        self.masks = [pair_mask(el.labels()) for el in self.elements]
         self._by_type: dict[Partition, list[SetPartition]] = {bottom.type(): [bottom]}
         for mu, el in rest:
             self._by_type.setdefault(mu, []).append(el)
@@ -55,8 +59,13 @@ class PiLambdaLattice:
     def open_interval(self, top: SetPartition) -> list[SetPartition]:
         """Elements strictly between the bottom and ``top``, in element
         order."""
-        owner = top.block_of()
-        return [el for el in self.elements[1 : self.index[top]] if el.refines(owner)]
+        end = self.index[top]
+        outside = ~self.masks[end]
+        return [
+            el
+            for el, mask in zip(self.elements[1:end], self.masks[1:end])
+            if not mask & outside
+        ]
 
     def types_present(self) -> list[Partition]:
         """Types of the nonbottom elements, sorted by (rank, shape)."""
@@ -84,7 +93,8 @@ def build_pi_lambda(
     with a generator is conjugate to the join of the canonical type-mu
     element with another generator.  So only the canonical element of
     each newly reached type is joined with every generator, on block
-    labels (``SetPartition.labels``).
+    labels (``SetPartition.labels``), and the elements are listed type
+    by type (``labels_of_type``).
     """
     limit = DEFAULT_LATTICE_LIMIT if limit is None else limit
     if n > limit:
@@ -93,8 +103,7 @@ def build_pi_lambda(
     for t in types:
         if t.size != n:
             raise ValueError(f"type {t!r} is not a partition of {n}")
-    typed = [(sp.type(), sp) for sp in all_set_partitions(n)]
-    generators = [sp.labels() for mu, sp in typed if mu in types]
+    generators = [labels for mu in types for labels in labels_of_type(mu)]
     reached = set(types)
     frontier = list(types)
     while frontier:
@@ -108,7 +117,44 @@ def build_pi_lambda(
                     reached.add(nu)
                     fresh.append(nu)
         frontier = fresh
-    return PiLambdaLattice(n, (sp for mu, sp in typed if mu in reached))
+    return PiLambdaLattice(
+        n, (SetPartition.from_labels(labels) for mu in reached for labels in labels_of_type(mu))
+    )
+
+
+def labels_of_type(mu: Partition) -> Iterator[tuple[int, ...]]:
+    """Block labels (``SetPartition.labels``) of every set partition of
+    type mu, each once: the least free point opens a block of each
+    distinct size still to place, and the rest of that block is any
+    combination of larger free points."""
+    labels = [0] * mu.size
+
+    def fill(free: tuple[int, ...], sizes: Counter) -> Iterator[tuple[int, ...]]:
+        if not free:
+            yield tuple(labels)
+            return
+        first, rest = free[0], free[1:]
+        for size in [s for s, count in sizes.items() if count]:
+            sizes[size] -= 1
+            for others in combinations(rest, size - 1):
+                for x in (first,) + others:
+                    labels[x] = first
+                yield from fill(tuple(x for x in rest if x not in others), sizes)
+            sizes[size] += 1
+
+    return fill(tuple(range(mu.size)), Counter(mu))
+
+
+def pair_mask(labels: Sequence[int]) -> int:
+    """One bit for each pair x < y of points with the same block label,
+    bit y(y-1)/2 + x: a set partition refines another exactly when its
+    mask has no bit outside the other's."""
+    mask = 0
+    for y, label in enumerate(labels):
+        for x in range(label, y):
+            if labels[x] == label:
+                mask |= 1 << (y * (y - 1) // 2 + x)
+    return mask
 
 
 def _canonical_labels(mu: Partition) -> tuple[int, ...]:

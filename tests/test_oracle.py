@@ -22,11 +22,14 @@ from arrstab.oracle.groups import (
     induced_character,
     orientation_sign,
     stabilizer,
+    stabilizer_classes,
     stabilizer_generators,
+    stabilizer_order,
     symmetric_group,
 )
 from arrstab.oracle.homology import IntervalHomology
 from arrstab.oracle.linalg import combine, eliminate
+from arrstab.oracle.posets import labels_of_type
 from arrstab.partitions import Partition, SetPartition, all_set_partitions, partitions_of
 from arrstab.stability import kequal_char
 from arrstab.symfunc import (
@@ -455,6 +458,35 @@ def test_conjugacy_classes_refuse_a_generator_outside_the_group():
         conjugacy_classes(group, [(0, 2, 1)])
 
 
+def test_stabilizer_classes_match_listed_classes():
+    # at the canonical element of every type with n <= 8, one
+    # representative in each listed class, with that class's size
+    for n in range(1, 9):
+        for mu in partitions_of(n):
+            pi = SetPartition.from_labels([j for j, part in enumerate(mu) for _ in range(part)])
+            listed = classes_of(pi)
+            where = {g: c for c, cls in enumerate(listed) for g in cls}
+            classes = stabilizer_classes(pi)
+            hit = [where[rep] for rep, _ in classes]
+            assert sorted(hit) == list(range(len(listed)))
+            assert [size for _, size in classes] == [len(listed[c]) for c in hit]
+            assert sorted((cycle_type(rep), size) for rep, size in classes) == sorted(
+                (cycle_type(cls[0]), len(cls)) for cls in listed
+            )
+            assert stabilizer_order(pi) == len(where)
+
+
+def test_labels_of_type_match_filter_of_set_partitions():
+    for n in range(1, 9):
+        by_type = {mu: [] for mu in partitions_of(n)}
+        for pi in all_set_partitions(n):
+            by_type[pi.type()].append(pi.labels())
+        for mu, expected in by_type.items():
+            labels = list(labels_of_type(mu))
+            assert len(set(labels)) == len(labels)
+            assert sorted(labels) == sorted(expected)
+
+
 def _reference_closure(n, types):
     """Bottom plus every set partition that is the join of the
     generators below it, which is what a join closure holds."""
@@ -552,15 +584,15 @@ def test_orientation_constant_on_classes():
 
 
 def test_induced_character_trivial_from_young_subgroup():
-    classes = classes_of(SetPartition(3, [[1, 2], [3]]))
+    classes = [(cls[0], len(cls)) for cls in classes_of(SetPartition(3, [[1, 2], [3]]))]
     induced = induced_character(classes, [1] * len(classes))
     ch = class_function_to_characteristic(3, induced)
     assert to_schur(ch) == mul(h(2), h(1))
 
 
 def test_induced_character_sign():
-    classes = classes_of(SetPartition(4, [[1, 2, 3, 4]]))
-    values = [(-1) ** (4 - len(cycle_type(cls[0]))) for cls in classes]
+    classes = [(cls[0], len(cls)) for cls in classes_of(SetPartition(4, [[1, 2, 3, 4]]))]
+    values = [(-1) ** (4 - len(cycle_type(rep))) for rep, _ in classes]
     induced = induced_character(classes, values)
     assert class_function_to_characteristic(4, induced) != 0
     assert to_schur(class_function_to_characteristic(4, induced)) == e(4)
@@ -569,8 +601,8 @@ def test_induced_character_sign():
 def test_induced_character_trivial_from_wreath_product():
     # the stabilizer of {12}{34} has two classes of cycle type (2, 2):
     # (12)(34) and the two block swaps (13)(24), (14)(23)
-    classes = classes_of(SetPartition(4, [[1, 2], [3, 4]]))
-    assert sum(cycle_type(cls[0]) == Partition((2, 2)) for cls in classes) == 2
+    classes = [(cls[0], len(cls)) for cls in classes_of(SetPartition(4, [[1, 2], [3, 4]]))]
+    assert sum(cycle_type(rep) == Partition((2, 2)) for rep, _ in classes) == 2
     induced = induced_character(classes, [1] * len(classes))
     ch = to_schur(class_function_to_characteristic(4, induced))
     assert ch == to_schur(plethysm(h(2), h(2))) == schur((4,)) + schur((2, 2))
@@ -606,6 +638,13 @@ def test_sw_matches_formula_n8(d, k):
     types = [Partition((k,) + (1,) * (8 - k))]
     for i in range(d * 8):
         assert kequal_char(8, i, d, k) == sw_complement_char(8, d, types, i, limit=8)
+
+
+@pytest.mark.parametrize("d,k", [(2, 4), (3, 5)])
+def test_sw_matches_formula_n9(d, k):
+    types = [Partition((k,) + (1,) * (9 - k))]
+    for i in range(d * 9):
+        assert kequal_char(9, i, d, k) == sw_complement_char(9, d, types, i, limit=9)
 
 
 def test_sw_limit():
