@@ -10,9 +10,15 @@ summand needs the one degree m of its core series: plethysm computes
 only that degree, from hooks expanded into the power basis once each,
 and the Schur piece is cached.  The characteristic at n is the sum over
 m of C_m (the pieces of degree m) padded by h_(n-m), one horizontal
-strip per key.  Stabilization of the resulting sequence is detected by
-the add-a-box comparison and certified against the proven rational
-bounds.
+strip per key.
+
+Certification walks the pieces instead of rebuilding each n.  By the
+Pieri rule a strip with a box in row 1 is a shorter strip plus that box,
+so V_n = add_box(V_(n-1)) + D_n, where D_n is C_n plus the strips on
+the lower C_m that leave row 1 alone (nonzero only while n - m is at
+most the first row).  The add-a-box step holds at n exactly when D_n is
+zero, and the last failing step, checked against the proven rational
+bounds, is the sharp bound.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable
 
-from .partitions import LambdaSet
+from .partitions import LambdaSet, Partition
 from .symfunc import (
     SCHUR,
     SymmetricFunction,
@@ -39,6 +45,7 @@ from .symfunc import (
     to_schur,
     zero,
 )
+from .symfunc.lr import horizontal_strips
 from .symfunc.series import hook_power_series
 
 Progress = Callable[[str], None] | None
@@ -166,6 +173,45 @@ def kequal_char(n: int, i: int, d: int, k: int) -> SymmetricFunction:
     return total
 
 
+@cache
+def degree_pieces(d: int, k: int, i: int, top: int) -> dict[int, SymmetricFunction]:
+    """The pieces {m: C_m} of the degree-i characteristic with m <= top.
+
+    C_m sums the Schur pieces of the summands of restricted degree m;
+    those with m <= top are the summands at n = top, with m = top - q.
+    The characteristic at n is the sum of pad(C_m, n - m) over m <= n.
+    Since r <= t and k >= d+1, every m is at most i/(d-1).  Shared; do
+    not mutate.
+    """
+    pieces: dict[int, SymmetricFunction] = {}
+    for params in kequal_summands(top, i, d, k):
+        m = top - params.q
+        pieces[m] = pieces.get(m, zero(SCHUR)) + psi_degree_part(params)
+    return pieces
+
+
+def lower_pad(f: SymmetricFunction, q: int) -> SymmetricFunction:
+    """R_q(f) for q >= 1: the part of pad(f, q) whose horizontal q-strips
+    put no box in row 1.
+
+    Such a strip on lambda is a strip on lambda minus its first row that
+    stays within lambda_1, so R_q(s_lambda) is zero exactly when
+    q > lambda_1.  The other strips, with a box in row 1, are the
+    (q-1)-strips with that box added (their second row is at most
+    lambda_1), so pad(f, q) = add_box(pad(f, q-1)) + R_q(f).
+    """
+    out: dict[Partition, int] = {}
+    for lam, c in f.items():
+        top = lam[0] if lam else 0
+        if q > top:
+            continue
+        for nu in horizontal_strips(lam[1:], q):
+            if nu[0] <= top:
+                key = Partition((top, *nu))
+                out[key] = out.get(key, 0) + c
+    return SymmetricFunction(SCHUR, out)
+
+
 def is_stable_step(v_n: SymmetricFunction, v_prev: SymmetricFunction) -> bool:
     """Whether v_n equals v_prev with a box added to every key."""
     v_n, v_prev = to_schur(v_n), to_schur(v_prev)
@@ -278,25 +324,44 @@ def sharp_bound_certified(
     horizon: int | None = None,
     progress: Progress = None,
 ) -> StabilityReport:
-    """Compute the sequence up to the theorem horizon and certify the
-    sharp stabilization point.
+    """Walk the sequence up to the theorem horizon and certify the sharp
+    stabilization point.
 
     The horizon defaults to floor of the least proven bound; stability
     beyond it is guaranteed, so the largest failing step inside the
     window is the sharp bound.  A lower override gives an uncertified
     report; an identically zero window is reported as vacuous.
+
+    V_0 = 0 and V_n = add_box(V_(n-1)) + D_n with
+    D_n = C_n + sum over m < n of lower_pad(C_m, n - m), so the step at n
+    holds exactly when D_n is zero.  On a certified window the last
+    failing step is also read off the pieces, max(m + lambda_1) over the
+    keys lambda of each C_m, and checked against the walk.
     """
     bounds = tuple(sorted(theorem_bounds(d, k, i)))
-    window = math.floor(min(bounds)) if horizon is None else horizon
+    least = math.floor(min(bounds))
+    window = least if horizon is None else horizon
+    pieces = degree_pieces(d, k, i, window)
+    for m, piece in pieces.items():
+        _check_character(piece, m, f"C_{m} (d={d}, k={k}, i={i})")
+        if (d - 1) * m > i:
+            raise AssertionError(f"C_{m} above degree i/(d-1) (d={d}, k={k}, i={i})")
 
     chars: dict[int, SymmetricFunction] = {}
+    stable_steps: dict[int, bool] = {}
+    v_n = zero(SCHUR)
     for n in range(1, window + 1):
-        chars[n] = kequal_char(n, i, d, k)
+        d_n = pieces.get(n, zero(SCHUR))
+        for m, piece in pieces.items():
+            if m < n:
+                d_n = d_n + lower_pad(piece, n - m)
+        v_n = v_n.add_box() + d_n
+        _check_character(v_n, n, f"V_{n} (d={d}, k={k}, i={i})")
+        chars[n] = v_n
+        if n > 1:
+            stable_steps[n] = not d_n
         if progress is not None:
-            progress(f"n={n} support={len(chars[n])}")
-    stable_steps = {
-        n: is_stable_step(chars[n], chars[n - 1]) for n in range(2, window + 1)
-    }
+            progress(f"n={n} support={len(v_n)}")
     sharp = max((n for n, ok in stable_steps.items() if not ok), default=None)
     if sharp is None and any(chars.values()):
         raise AssertionError(
@@ -314,6 +379,13 @@ def sharp_bound_certified(
     )
     if report.certified:
         report.sharp_bound = sharp
+        if sharp is not None:
+            widest = max(m + lam[0] for m, piece in pieces.items() for lam, _ in piece.items())
+            if sharp != widest or sharp > least:
+                raise AssertionError(
+                    f"last failing step {sharp}, pieces give {widest}, least proven bound "
+                    f"{min(bounds)} (d={d}, k={k}, i={i})"
+                )
     return report
 
 

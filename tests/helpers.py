@@ -1,8 +1,17 @@
 """Shared checkers for the acceptance suite."""
 
+import math
 from contextlib import contextmanager
 
-from arrstab.stability import PsiParams, psi, psi_degree_part
+from arrstab.stability import (
+    PsiParams,
+    StabilityReport,
+    is_stable_step,
+    kequal_char,
+    psi,
+    psi_degree_part,
+    theorem_bounds,
+)
 
 
 @contextmanager
@@ -55,3 +64,17 @@ def check_first_row_bound(d, k, n_max):
                     part = psi_degree_part(PsiParams(n=n, q=q, r=r, t=t, d=d, k=k))
                     for key in part.support():
                         assert key[0] <= t * k, (d, k, n, q, r, t, key)
+
+
+def per_n_report(d, k, i, horizon=None):
+    """The reference for the degree-piece walk of ``sharp_bound_certified``:
+    every characteristic from ``kequal_char`` at its own n, every step by
+    comparing neighbours with ``is_stable_step``."""
+    bounds = tuple(sorted(theorem_bounds(d, k, i)))
+    window = math.floor(min(bounds)) if horizon is None else horizon
+    chars = {n: kequal_char(n, i, d, k) for n in range(1, window + 1)}
+    steps = {n: is_stable_step(chars[n], chars[n - 1]) for n in range(2, window + 1)}
+    report = StabilityReport(d, k, i, window, bounds, chars, steps, sharp_bound=None)
+    if report.certified:
+        report.sharp_bound = max((n for n, ok in steps.items() if not ok), default=None)
+    return report

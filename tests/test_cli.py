@@ -13,6 +13,8 @@ from arrstab.cli import EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from arrstab.stability import StabilityReport
 from arrstab.symfunc import from_text
 
+from helpers import per_n_report
+
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -75,6 +77,19 @@ def test_table_json_round_trip_equivalent_to_csv():
     assert rows[0] == ["k", "i", "bound"]
     for rep, row in zip(reports, rows[1:]):
         assert [str(rep.k), str(rep.i), rep.bound_text()] == row
+
+
+@pytest.mark.parametrize("k, degrees", [(3, range(3, 9)), (4, range(5, 9))])
+def test_table_rows_match_per_n_reports(k, degrees):
+    # the d=2 rows of the paper's table, rendered from reports built n by n
+    reports = [per_n_report(2, k, i) for i in degrees]
+    span = f"{degrees[0]}..{degrees[-1]}"
+    code, out, _ = run_cli("table", "--d", "2", "--k", str(k), "--i", span, "--format", "json")
+    assert code == EXIT_OK
+    assert out == json.dumps([rep.to_json_obj() for rep in reports], sort_keys=True) + "\n"
+    code, out, _ = run_cli("table", "--d", "2", "--k", str(k), "--i", span, "--format", "csv")
+    assert code == EXIT_OK
+    assert out == "\n".join(["k,i,bound"] + [rep.csv_row() for rep in reports]) + "\n"
 
 
 def test_table_horizon_limited():

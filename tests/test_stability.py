@@ -1,9 +1,10 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from arrstab.partitions import LambdaSet, Partition
+from arrstab.partitions import LambdaSet, Partition, partitions_of
 from arrstab.stability import (
     PsiParams,
     _core_piece,
@@ -14,6 +15,7 @@ from arrstab.stability import (
     kequal_char,
     kequal_summands,
     lambda_char_smalln,
+    lower_pad,
     psi,
     sharp_bound_certified,
     theorem_bounds,
@@ -26,12 +28,15 @@ from arrstab.symfunc import (
     hook_series,
     lie_series,
     omega,
+    pad,
     plethysm,
     schur,
     signed_homology_series,
     to_power,
     to_schur,
 )
+
+from helpers import per_n_report
 
 
 def test_params_validation():
@@ -274,3 +279,24 @@ def test_kequal_char_matches_sum_of_psi():
                     for params in kequal_summands(n, i, d, k):
                         expected = expected + psi(params)
                     assert kequal_char(n, i, d, k) == expected, (n, i, d, k)
+
+
+def test_lower_pad_is_the_pieri_rest_of_the_pad():
+    # strips with a box in row 1 are the (q-1)-strips with that box added
+    for size in range(8):
+        for lam in partitions_of(size):
+            f = schur(lam)
+            for q in range(1, 10):
+                rest = lower_pad(f, q)
+                assert pad(f, q) == pad(f, q - 1).add_box() + rest, (lam, q)
+                assert (not rest) == (q > (lam[0] if lam else 0)), (lam, q)
+
+
+def test_walk_matches_per_n_characters_and_steps():
+    for d in (2, 3, 4):
+        for k in range(d + 1, d + 5):
+            for i in range(15 if d == 2 else 18):
+                default = math.floor(min(theorem_bounds(d, k, i)))
+                for horizon in (None, default // 2, default + 2):
+                    expected = per_n_report(d, k, i, horizon)
+                    assert sharp_bound_certified(d, k, i, horizon) == expected, (d, k, i, horizon)

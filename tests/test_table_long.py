@@ -19,3 +19,10 @@ def test_table_k5_late_entry():
 def test_table_k3_tail():
     assert sharp_bound_certified(2, 3, 7).sharp_bound == 13
     assert sharp_bound_certified(2, 3, 8).sharp_bound == 14
+
+
+def test_table_k3_beyond_the_paper():
+    # regression values taken from the library (the per-n comparison and
+    # the degree-piece walk agree on them), not from the paper
+    bounds = [sharp_bound_certified(2, 3, i).sharp_bound for i in range(9, 15)]
+    assert bounds == [16, 18, 20, 21, 23, 25]
