@@ -75,8 +75,10 @@ def test_traced_query_counts_plethysm_degrees():
 
 
 def test_traced_lattice_model_reaches_every_layer():
-    # the rank pass, the chains and the traces each run behind a traced
-    # name, so a lattice-model value with homology reaches all three
+    # the chains, the integer ranks and the traces each run behind a
+    # traced name; integer elimination runs only where two adjacent
+    # degrees carry homology mod 2, as at the top of the 3-equal lattice
+    # at n=6, whose homology is {1: 10, 2: 10}
     script = "\n".join([
         "import json, sys",
         f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(TRACING.parent)!r}]",
@@ -85,7 +87,7 @@ def test_traced_lattice_model_reaches_every_layer():
         "tracer.install()",
         "from arrstab import Partition",
         "from arrstab.oracle import sw_complement_char",
-        "assert sw_complement_char(5, 2, [Partition((2, 1, 1, 1))], 3)",
+        "assert sw_complement_char(6, 2, [Partition((3, 1, 1, 1))], 6)",
         "print(json.dumps(tracer.metrics()))",
     ])
     done = subprocess.run(

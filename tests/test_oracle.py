@@ -28,10 +28,10 @@ from arrstab.oracle.groups import (
     symmetric_group,
 )
 from arrstab.oracle.homology import IntervalHomology
-from arrstab.oracle.linalg import combine, eliminate
+from arrstab.oracle.linalg import combine, echelon_mod2, eliminate
 from arrstab.oracle.posets import labels_of_type
-from arrstab.partitions import Partition, SetPartition, all_set_partitions, partitions_of
-from arrstab.stability import kequal_char
+from arrstab.partitions import LambdaSet, Partition, SetPartition, all_set_partitions, partitions_of
+from arrstab.stability import kequal_char, lambda_char_smalln
 from arrstab.symfunc import (
     e,
     h,
@@ -261,6 +261,174 @@ def test_lefschetz_trace_matches_reduction():
         for (j, g), value in traces.items():
             assert hom._lefschetz_trace(j, g) == hom._reduced_trace(j, g) == value
     assert multi == 3
+
+
+def _integer_dims(hom):
+    """Reference homology from the integer rank pass: each boundary map
+    reduced over Z from the top down, clearing the lows found one degree
+    up."""
+    dims, lows = {}, {}
+    for j in range(hom.top, -1, -1):
+        columns = hom._boundary_columns(j)
+        echelon, _ = eliminate(columns, cleared=lows, relations=False)
+        if essential := len(columns) - len(lows) - len(echelon):
+            dims[j] = essential
+        lows = echelon
+    if not lows:
+        dims[-1] = 1
+    return dict(sorted(dims.items()))
+
+
+def _mod2_dims(hom):
+    """Homology over GF(2), from ranks without clearing."""
+    ranks = {-1: 0, hom.top + 1: 0}
+    for j in range(hom.top + 1):
+        ranks[j] = len(echelon_mod2(set(col) for col in hom._boundary_columns(j)))
+    dims = {j: hom.chain_count(j) - ranks[j] - ranks[j + 1] for j in range(-1, hom.top + 1)}
+    return {j: h for j, h in dims.items() if h}
+
+
+def test_echelon_mod2_rank():
+    # over GF(2) the three columns sum to zero; over Q they have rank 3
+    columns = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]
+    assert len(eliminate(columns, relations=False)[0]) == 3
+    echelon = echelon_mod2(set(col) for col in columns)
+    assert sorted(echelon) == [1, 2]
+    assert all(max(col) == low for low, col in echelon.items())
+
+
+def test_certified_dims_match_integer_rank_pass():
+    lattices = _oracle_verify_lattices() + [
+        build_pi_lambda(8, [Partition((k,) + (1,) * (8 - k))], limit=8) for k in (3, 4, 5)
+    ]
+    intervals = 0
+    for lat in lattices:
+        for mu in lat.types_present():
+            hom = IntervalHomology(lat.open_interval(lat.canonical_of_type(mu)))
+            assert hom.dims == _integer_dims(hom)
+            intervals += 1
+    assert intervals == 84
+
+
+def _face_poset(facets, n):
+    """The face poset of a simplicial complex on the points 1..n-1, its
+    face S the set partition of 0..n-1 with the block {0} and S and
+    singletons elsewhere (written 1-based), listed vertices first."""
+
+    def partition(face):
+        block = [1] + [x + 1 for x in face]
+        return SetPartition(n, [block] + [[y] for y in range(2, n + 1) if y not in block])
+
+    faces = {frozenset(c) for f in facets for r in (1, 2, 3, 4) for c in combinations(f, r)}
+    return [partition(face) for face in sorted(faces, key=lambda face: (len(face), sorted(face)))]
+
+
+RP2 = [
+    (1, 2, 4), (1, 2, 6), (1, 3, 5), (1, 3, 6), (1, 4, 5),
+    (2, 3, 4), (2, 3, 5), (2, 5, 6), (3, 4, 6), (4, 5, 6),
+]
+
+
+@pytest.mark.parametrize(
+    "facets, n",
+    [(RP2, 7), (RP2 + [(1, 2, 4, 7)], 8)],
+    ids=["rp2", "rp2-and-a-tetrahedron"],
+)
+def test_torsion_is_certified_over_the_rationals(facets, n):
+    # the order complex of a face poset is the barycentric subdivision:
+    # the 6-vertex RP^2 has H_1(Z) = Z/2, so homology mod 2 in degrees 1
+    # and 2 and none over Q; a tetrahedron glued on a face changes nothing
+    # but puts a boundary map above the torsion, whose mod-2 lows the
+    # integer reduction clears
+    hom = IntervalHomology(_face_poset(facets, n))
+    assert hom.top == (2 if n == 7 else 3)
+    assert _mod2_dims(hom) == {1: 1, 2: 1}
+    assert hom.dims == _integer_dims(hom) == {}
+    assert hom.lefschetz_degree is None
+    assert all(hom.trace(j, tuple(range(n))) == 0 for j in range(-1, hom.top + 1))
+
+
+def test_mod2_lows_may_be_cleared_over_the_rationals():
+    # the integer rank of a boundary map is unchanged by clearing the
+    # lows of the map one degree up reduced mod 2, torsion or not: random
+    # complexes, half of them the 6-vertex RP^2 with extra faces
+    rng = random.Random(5)
+    torsion = 0
+    for _ in range(300):
+        count = rng.randint(2, 9)
+        facets = [tuple(rng.sample(range(1, 9), rng.choice((3, 4)))) for _ in range(count)]
+        if rng.random() < 0.5:
+            facets += RP2
+        faces = {}
+        for face in {c for f in facets for r in (1, 2, 3, 4) for c in combinations(sorted(f), r)}:
+            faces.setdefault(len(face) - 1, []).append(face)
+        faces = {j: sorted(fs) for j, fs in faces.items()} | {-1: [()]}
+
+        def boundary(j):
+            index = {face: c for c, face in enumerate(faces[j - 1])}
+            return [
+                {index[face[:pos] + face[pos + 1 :]]: (-1) ** pos for pos in range(len(face))}
+                for face in faces.get(j, ())
+            ]
+
+        for j in range(1, max(faces) + 1):
+            lows = set(echelon_mod2(set(col) for col in boundary(j + 1)))
+            columns = boundary(j)
+            rank = len(eliminate(columns, relations=False)[0])
+            assert len(eliminate(columns, cleared=lows, relations=False)[0]) == rank
+            torsion += bool(lows) and len(echelon_mod2(set(col) for col in columns)) < rank
+    assert torsion > 10
+
+
+def test_braid_lattice_needs_no_integer_elimination(monkeypatch):
+    # every interval of the braid lattice has homology in one degree
+    import arrstab.oracle.homology as homology
+
+    calls = {"eliminate": 0, "IntervalHomology": 0}
+    eliminate_, init = homology.eliminate, IntervalHomology.__init__
+
+    def counted_eliminate(*args, **kwargs):
+        calls["eliminate"] += 1
+        return eliminate_(*args, **kwargs)
+
+    def counted_init(self, vertices):
+        calls["IntervalHomology"] += 1
+        init(self, vertices)
+
+    monkeypatch.setattr(homology, "eliminate", counted_eliminate)
+    monkeypatch.setattr(IntervalHomology, "__init__", counted_init)
+    _orbits.cache_clear()
+    assert sw_complement_char(5, 2, [Partition((2, 1, 1, 1))], 3)
+    assert calls == {"eliminate": 0, "IntervalHomology": 6}
+
+
+def test_acyclic_interval_has_no_lefschetz_degree():
+    # below [123][45] the lattice of [3,2] and [3,1,1] has the one point [123]
+    lat = build_pi_lambda(5, LambdaSet.parse("[3,2];[3,1,1]").extended(5))
+    pi = SetPartition(5, [[1, 2, 3], [4, 5]])
+    assert lat.open_interval(pi) == [SetPartition(5, [[1, 2, 3], [4], [5]])]
+    hom = IntervalHomology(lat.open_interval(pi))
+    assert (hom.dims, hom.lefschetz_degree) == ({}, None)
+    assert all(hom.trace(j, (1, 0, 2, 4, 3)) == 0 for j in range(-1, 2))
+    dims, char = interval_homology(lat, pi)
+    assert (dims, char.values) == ({}, {})
+
+
+@pytest.mark.parametrize(
+    "lam, n, d, k",
+    [
+        ("[3,2];[3,1,1]", 5, 2, 3),
+        ("[4,2];[4,1,1]", 6, 2, 4),
+        ("[4,2];[4,1,1]", 6, 3, 4),
+        ("[4,2];[3,1,1,1]", 6, 2, 3),
+        ("[3,2,1];[3,1,1,1]", 6, 2, 3),
+    ],
+)
+def test_redundant_type_leaves_the_complement_unchanged(lam, n, d, k):
+    # each subspace of the first type lies in one of the second, so the
+    # complement is the k-equal one; its lattice has acyclic intervals
+    for i in range(d * n):
+        assert lambda_char_smalln(n, d, LambdaSet.parse(lam), i) == kequal_char(n, i, d, k)
 
 
 def test_lattice_two_equal_is_everything():
@@ -518,7 +686,9 @@ def test_vertex_map_matches_relabelled_vertices():
     hom = IntervalHomology(lat.open_interval(rep))
     index = {v: i for i, v in enumerate(hom.vertices)}
     for g in stabilizer(rep):
-        assert hom.vertex_map(g) == [index[v.apply(g)] for v in hom.vertices]
+        vmap = hom.vertex_map(g)
+        assert vmap == [index[v.apply(g)] for v in hom.vertices]
+        assert hom._fixed_vertices(g) == [w == v for v, w in enumerate(vmap)]
 
 
 def test_orientation_signs():
