@@ -1,4 +1,4 @@
-"""Exact sparse column reduction over the integers, and over GF(2).
+"""Exact sparse column reduction over the integers.
 
 Columns are integer dicts (row -> value), reduced left to right as in
 the standard persistence algorithm: while a column's largest row index
@@ -12,14 +12,16 @@ column itself.  Columns named as cleared are skipped: in a chain
 complex these are the lows of the degree above, which are known to
 reduce to zero (the clearing twist of Chen and Kerber).
 
-Over GF(2) a column is the set of its nonzero rows, and adding the
-pivot is a symmetric difference.
+The ranks mod 2 are not found here: ``homology`` pairs chains by
+reducing coboundaries over GF(2), building a column only when its least
+coface is taken, and comes here for the integer rank of a map that
+torsion may leave open and for the cycles its traces read.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Container, Iterable, Sequence
+from typing import Container, Sequence
 
 
 def cancel_factors(p: int, q: int) -> tuple[int, int]:
@@ -106,18 +108,3 @@ def eliminate(
                 found[c] = dict(sorted(rel.items(), reverse=True))
     return echelon, found
 
-
-def echelon_mod2(columns: Iterable[set[int]]) -> dict[int, set[int]]:
-    """Reduce the columns over GF(2), in place; return the echelon, each
-    pivot row mapped to the reduced column whose low it is.  Its size is
-    the rank of the columns."""
-    echelon: dict[int, set[int]] = {}
-    for col in columns:
-        while col:
-            low = max(col)
-            pivot = echelon.get(low)
-            if pivot is None:
-                echelon[low] = col
-                break
-            col ^= pivot
-    return echelon

@@ -78,3 +78,29 @@ def per_n_report(d, k, i, horizon=None):
     if report.certified:
         report.sharp_bound = max((n for n, ok in steps.items() if not ok), default=None)
     return report
+
+
+def echelon_mod2(columns):
+    """Reference boundary reduction over GF(2), each column the set of
+    its rows, reduced left to right by symmetric differences with the
+    pivot of its largest row; returns the echelon, each pivot row mapped
+    to the reduced column whose low it is.  Its size is the rank."""
+    echelon = {}
+    for col in columns:
+        while col:
+            low = max(col)
+            pivot = echelon.get(low)
+            if pivot is None:
+                echelon[low] = col
+                break
+            col ^= pivot
+    return echelon
+
+
+def trace_on_chains(hom, degree, perm):
+    """Number of chains of an ``IntervalHomology`` in ``degree`` that
+    the permutation fixes pointwise: its trace on the chain group."""
+    if degree == -1:
+        return 1
+    fixed = hom._fixed_vertices(perm)
+    return sum(1 for s in hom.simplices.get(degree, ()) if all(map(fixed.__getitem__, s)))

@@ -28,7 +28,7 @@ from arrstab.oracle.groups import (
     symmetric_group,
 )
 from arrstab.oracle.homology import IntervalHomology
-from arrstab.oracle.linalg import combine, echelon_mod2, eliminate
+from arrstab.oracle.linalg import combine, eliminate
 from arrstab.oracle.posets import labels_of_type
 from arrstab.partitions import LambdaSet, Partition, SetPartition, all_set_partitions, partitions_of
 from arrstab.stability import kequal_char, lambda_char_smalln
@@ -42,6 +42,7 @@ from arrstab.symfunc import (
     schur,
     to_schur,
 )
+from helpers import echelon_mod2, trace_on_chains
 
 
 def classes_of(pi):
@@ -193,7 +194,7 @@ def test_traces_match_dense_reference():
                 # trace on homology = on cycles - on boundaries, and the
                 # boundaries of degree j are the chains of degree j+1
                 # modulo their cycles
-                above = hom.trace_on_chains(j + 1, g) - _cycle_trace(hom, j + 1, cycles[j + 1], g)
+                above = trace_on_chains(hom, j + 1, g) - _cycle_trace(hom, j + 1, cycles[j + 1], g)
                 assert hom.trace(j, g) == _cycle_trace(hom, j, cycles[j], g) - above
 
 
@@ -295,6 +296,42 @@ def test_echelon_mod2_rank():
     echelon = echelon_mod2(set(col) for col in columns)
     assert sorted(echelon) == [1, 2]
     assert all(max(col) == low for low, col in echelon.items())
+
+
+def test_coboundary_lows_match_boundary_reduction(monkeypatch):
+    # the coboundary pass pairs the same chains as reducing each boundary
+    # map mod 2 from the left by largest row, with no clearing.  Columns
+    # whose least coface is already taken are reduced in full: 11 on the
+    # k=3, n=7 top, 24 on the [2,2], n=6 top and 410 on the k=3, n=8 top
+    collisions = 0
+    bases = [((3,), 7), ((4,), 7), ((5,), 7), ((2,), 6), ((2, 2), 6)]
+    cases = [
+        (lat, lat.canonical_of_type(mu))
+        for base, n_top in bases
+        for n in range(sum(base), n_top + 1)
+        for lat in [build_pi_lambda(n, [Partition(base).pad_to(n)], limit=7)]
+        for mu in lat.types_present()
+    ]
+    k3 = build_pi_lambda(8, [Partition((3,) + (1,) * 5)], limit=8)
+    cases.append((k3, k3.canonical_of_type(Partition((8,)))))
+    for lat, rep in cases:
+        hom = IntervalHomology(lat.open_interval(rep))
+        reduce_mod2 = hom._reduce_mod2
+
+        def counted(col, taken):
+            nonlocal collisions
+            collisions += 1
+            return reduce_mod2(col, taken)
+
+        monkeypatch.setattr(hom, "_reduce_mod2", counted)
+        lows = hom._coboundary_lows()
+        assert set(lows) == set(range(hom.top + 2))
+        for j in range(hom.top + 1):
+            reference = echelon_mod2(set(col) for col in hom._boundary_columns(j))
+            assert lows[j] == set(reference), (rep, j)
+        assert not lows[hom.top + 1]
+    assert len(cases) == 72
+    assert collisions > 400
 
 
 def test_certified_dims_match_integer_rank_pass():
@@ -521,7 +558,7 @@ def test_hopf_trace_identity():
         for cls in classes_of(rep):
             g = cls[0]
             lhs = sum(
-                (-1) ** j * hom.trace_on_chains(j, g)
+                (-1) ** j * trace_on_chains(hom, j, g)
                 for j in range(-1, hom.top + 1)
             )
             rhs = sum((-1) ** j * hom.trace(j, g) for j in hom.dims)
