@@ -119,7 +119,6 @@ def _build_parser() -> _Parser:
     p_table.add_argument("--i", required=True, help="degree or range, e.g. 3..6")
     p_table.add_argument("--horizon", type=positive_int, help="override the certification horizon")
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_table.add_argument("--jobs", type=positive_int, default=1)
     p_table.add_argument("--output")
 
     p_verify = sub.add_parser("verify", help="formula vs lattice model")
@@ -127,7 +126,6 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--n-max", type=int, required=True)
     p_verify.add_argument("--oracle-limit", type=int)
     p_verify.add_argument("--format", choices=("text", "csv"), default="text")
-    p_verify.add_argument("--jobs", type=positive_int, default=1)
     p_verify.add_argument("--output")
 
     p_bounds = sub.add_parser("bounds", help="proven bounds and certified sharp bound")
@@ -157,34 +155,20 @@ def cmd_char(args) -> int:
     return EXIT_OK
 
 
-def _table_report(task: tuple[int, int, int, int | None]) -> StabilityReport:
-    d, k, i, horizon = task
-    return sharp_bound_certified(d, k, i, horizon=horizon, progress=None)
-
-
 def cmd_table(args) -> int:
     _validate_dk(args.d, args.k)
     degrees = _parse_irange(args.i)
     reports: list[StabilityReport] = []
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        tasks = [(args.d, args.k, i, args.horizon) for i in degrees]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for rep in pool.map(_table_report, tasks):
-                _progress(f"k={args.k} i={rep.i}: bound {rep.bound_text()}")
-                reports.append(rep)
-    else:
-        for i in degrees:
-            rep = sharp_bound_certified(
-                args.d,
-                args.k,
-                i,
-                horizon=args.horizon,
-                progress=lambda msg, i=i: _progress(f"k={args.k} i={i}: {msg}"),
-            )
-            _progress(f"k={args.k} i={i}: bound {rep.bound_text()}")
-            reports.append(rep)
+    for i in degrees:
+        rep = sharp_bound_certified(
+            args.d,
+            args.k,
+            i,
+            horizon=args.horizon,
+            progress=lambda msg, i=i: _progress(f"k={args.k} i={i}: {msg}"),
+        )
+        _progress(f"k={args.k} i={i}: bound {rep.bound_text()}")
+        reports.append(rep)
     if args.format == "csv":
         lines = ["k,i,bound"] + [rep.csv_row() for rep in reports]
         _emit("\n".join(lines), args.output)
@@ -248,13 +232,6 @@ def _verify_rows_lambda(
     return rows
 
 
-def _verify_worker(task) -> list[tuple[str, str, str, str, str, bool]]:
-    mode, d, spec, n, limit = task
-    if mode == "k":
-        return _verify_rows_k(d, spec, n, limit)
-    return _verify_rows_lambda(d, LambdaSet.parse(spec), n, limit)
-
-
 def cmd_verify(args) -> int:
     _validate_dk(args.d, args.k)
     if (args.k is None) == (args.lambda_spec is None):
@@ -263,28 +240,23 @@ def cmd_verify(args) -> int:
     if limit < 1:
         raise UsageError(f"the oracle limit must be positive, not {limit}")
     if args.k is not None:
-        n_lo, mode, spec = args.k, "k", args.k
+        n_lo = args.k
     else:
         lam = LambdaSet.parse(args.lambda_spec)
-        n_lo, mode, spec = lam.n0, "lambda", args.lambda_spec
+        n_lo = lam.n0
     if args.n_max < n_lo:
         raise UsageError(f"--n-max {args.n_max} is below the first size {n_lo}: nothing to verify")
     if args.n_max > limit:
         raise OracleLimitError(
             f"--n-max {args.n_max} exceeds the oracle limit {limit}"
         )
-    tasks = [(mode, args.d, spec, n, limit) for n in range(n_lo, args.n_max + 1)]
     rows = []
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for chunk in pool.map(_verify_worker, tasks):
-                rows.extend(chunk)
-    else:
-        for task in tasks:
-            _progress(f"verify n={task[3]}")
-            rows.extend(_verify_worker(task))
+    for n in range(n_lo, args.n_max + 1):
+        _progress(f"verify n={n}")
+        if args.k is not None:
+            rows.extend(_verify_rows_k(args.d, args.k, n, limit))
+        else:
+            rows.extend(_verify_rows_lambda(args.d, lam, n, limit))
     all_match = all(r[5] for r in rows)
     out_lines = []
     if args.format == "csv":

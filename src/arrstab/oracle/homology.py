@@ -4,24 +4,27 @@ Simplices are chains of poset elements; the boundary is the usual
 alternating face sum, augmented by the empty simplex in degree -1, so
 the empty complex has one-dimensional homology there.
 
-The ranks of the boundary maps are found over GF(2) and certified over
-the rationals.  Chains are listed in lexicographic order, which is their
-index order.  Mod 2, the boundary out of degree j+1 reduced left to
-right, each column's low its largest row, pairs a j-chain sigma with the
-(j+1)-chain tau whose reduced column has low sigma.  Whether a pair is
-formed depends only on the ranks of the submatrices below and left of
-the entry (sigma, tau), with rows >= sigma and columns <= tau.
-Transposing and reversing both orders turns each of them into the
-submatrix below and left of the entry (tau, sigma) of the coboundary
-out of j, its columns the j-chains and its rows the (j+1)-chains, both
-in descending order, so that a column's low is its least row.  Reduced
-left to right, the coboundary so forms the same pairs (de Silva,
-Morozov and Vejdemo-Johansson, Dualities in persistent (co)homology,
-2011).  The coboundaries are reduced from degree 0 up, clearing the
-j-chains that were pivots one degree down, as they reduce to zero; the
-top degree has no coboundary.
+The ranks of the boundary maps are found over the rationals, in one
+pass over the signed coboundaries.  Chains are listed in lexicographic
+order, which is their index order.  The boundary out of degree j+1
+reduced left to right, each column's low its largest row, pairs a
+j-chain sigma with the (j+1)-chain tau whose reduced column has low
+sigma.  Whether a pair is formed depends only on the ranks of the
+submatrices below and left of the entry (sigma, tau), with rows >= sigma
+and columns <= tau.  Transposing and reversing both orders turns each of
+them into the submatrix below and left of the entry (tau, sigma) of the
+coboundary out of j, its columns the j-chains and its rows the
+(j+1)-chains, both in descending order, so that a column's low is its
+least row.  Reduced left to right, the coboundary so forms the same
+pairs (de Silva, Morozov and Vejdemo-Johansson, Dualities in persistent
+(co)homology, 2011).  The coboundaries are reduced from degree 0 up,
+clearing the j-chains that were pivots one degree down, as they reduce
+to zero (Chen and Kerber, Persistent homology computation with a twist,
+2011); the top degree has no coboundary.
 
-A column's low before any addition is its least coface.  A vertex below
+A coface adds one vertex to a chain; put at position p, it enters the
+coboundary with the sign (-1)^p of the face that drops it again.  A
+column's low before any addition is its least coface.  A vertex below
 s_0 comes first in the order, so that coface is s with the least vertex
 below s_0 put in front if there is one; failing that, the least vertex
 inside the first gap s_i < v < s_(i+1) that has one; failing that, the
@@ -34,25 +37,11 @@ column reduced.  So the rank pass needs no chain index and no face set
 except at such collisions, which are rare: none on the braid lattice at
 n = 6, 410 on the k=3, n=8 top, which has 75,279 chains.
 
-A nonzero mod-2 minor is a nonzero integer minor, so no boundary map has
-a larger rank mod 2 than over Q, and no degree has less homology mod 2
-than over Q.  A degree j with no mod-2 homology then has c_j = r2_j +
-r2_{j+1} <= rQ_j + rQ_{j+1} <= c_j, so both of its boundary maps have
-the same rank over Q as mod 2.  The one rank left open is that of the
-boundary out of a degree j when j and j-1 both carry mod-2 homology,
-which torsion can make larger over Q.  It is found by integer column
-reduction (``linalg.eliminate``).  An interval with homology in one
-degree only, as most are, does no integer elimination at all.
-
-An integer reduction of the boundary out of j may still clear the mod-2
-lows L found one degree up, though they are not rational boundaries.
-Lift each mod-2 boundary with low l in L to an integer boundary: on the
-rows L these lifts form a square matrix that is triangular mod 2 with
-ones on its diagonal, so its determinant is odd and it is invertible
-over Q.  Rational combinations of the lifts are then cycles that are 1
-at one low and 0 at the others, so the boundary of each cleared simplex
-is a combination of those of the simplices outside L, which have the
-full rational rank and span every rational boundary.
+Columns are combined fraction-free, a*col - b*pivot with a > 0, an
+invertible column operation over Q whatever the pivot values, so the
+pivot count is the rational rank and the lows are the rational lows.
+A pivot other than +-1, which torsion in the integer homology brings,
+needs no other treatment.
 
 A permutation g of the poset acts on chains without signs, so by the
 Hopf trace formula the alternating sum of its traces on homology is the
@@ -64,11 +53,11 @@ set partition exactly when it maps each block into a block, since the
 image then refines it with as many blocks.
 
 Any other degree j is reduced on first use.  The boundary echelon one
-degree up is built over the integers, clearing the mod-2 lows two
-degrees up, and the boundaries of the j-simplices are eliminated with
-relation vectors, clearing its lows,
-giving one cycle z_tau for every essential j-simplex tau: a column that
-reduces to zero without having been cleared.  The lows of the boundary
+degree up is built over the integers, clearing the lows two degrees up
+that the rank pass found, and the boundaries of the j-simplices are
+eliminated with relation vectors, clearing its lows, giving one cycle
+z_tau for every essential j-simplex tau: a column that reduces to zero
+without having been cleared.  The lows of the boundary
 echelon and of the essential cycles are distinct and together span the
 cycles, so a trace is read off without solving anything: g*z_tau is
 reduced from the top against them until its largest index is at most
@@ -144,22 +133,15 @@ class IntervalHomology:
         lows = self._coboundary_lows()
         ranks = {j: len(rows) for j, rows in lows.items()} | {-1: 0}
         degrees = range(-1, self.top + 1)
-        mod2 = {j: self.chain_count(j) - ranks[j] - ranks[j + 1] for j in degrees}
-        for j in range(self.top + 1):
-            if mod2[j] and mod2[j - 1]:
-                ranks[j] = len(self._integer_echelon(j, lows[j + 1]))
         self.dims = {
             j: h for j in degrees if (h := self.chain_count(j) - ranks[j] - ranks[j + 1])
         }
-        euler = sum((-1 if j % 2 else 1) * self.chain_count(j) for j in degrees)
-        if sum((-1 if j % 2 else 1) * h for j, h in self.dims.items()) != euler:
-            raise AssertionError(f"homology {self.dims} misses the Euler characteristic {euler}")
         # of two degrees with equal homology the higher has the longer
         # chains, so it is the one not to reduce; an acyclic interval
         # has none
         self.lefschetz_degree = max(self.dims, key=lambda j: (self.dims[j], j), default=None)
         # what building the cycles of a degree j clears one degree up
-        self._mod2_lows = {j + 2: lows.get(j + 2, set()) for j in self.dims}
+        self._lows = {j + 2: lows.get(j + 2, set()) for j in self.dims}
         self._cycles: dict[int, dict[int, dict[int, int]]] = {}
         self._basis: dict[int, dict[int, dict[int, int]]] = {}
         self._reduced_traces: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -168,8 +150,8 @@ class IntervalHomology:
         return len(self.simplices.get(degree, ()))
 
     def _coboundary_lows(self) -> dict[int, set[int]]:
-        """lows[j]: the lows of the boundary out of degree j reduced mod
-        2, as indices of (j-1)-chains, found by reducing the coboundaries.
+        """lows[j]: the lows of the boundary out of degree j reduced over
+        Q, as indices of (j-1)-chains, found by reducing the coboundaries.
 
         The coboundary out of each degree j below the top is reduced
         with its j-chains in descending order, each column's pivot its
@@ -181,7 +163,7 @@ class IntervalHomology:
         """
         lows = {0: {0} if self.vertices else set(), self.top + 1: set()}
         # the one coface of the empty chain is the least vertex
-        taken: dict[tuple[int, ...], tuple[int, ...] | set[tuple[int, ...]]] = (
+        taken: dict[tuple[int, ...], tuple[int, ...] | dict[tuple[int, ...], int]] = (
             {(0,): ()} if self.vertices else {}
         )
         for j in range(self.top):
@@ -193,7 +175,7 @@ class IntervalHomology:
                     continue
                 low = self._least_coface(s)
                 if low in taken:
-                    low = self._reduce_mod2(self._cofaces(s), taken)
+                    low = self._reduce(self._cofaces(s), taken)
                 elif low is not None:
                     taken[low] = s
                 if low is not None:
@@ -201,12 +183,13 @@ class IntervalHomology:
             lows[j + 1] = pivoted
         return lows
 
-    def _reduce_mod2(
-        self, col: set[tuple[int, ...]], taken: dict[tuple[int, ...], tuple[int, ...] | set]
+    def _reduce(
+        self, col: dict[tuple[int, ...], int], taken: dict[tuple[int, ...], tuple[int, ...] | dict]
     ) -> tuple[int, ...] | None:
-        """Reduce a coboundary column against the pivots taken so far,
-        building each owner's column on first use; store it under its
-        new pivot and return that, or None if it reduces to zero."""
+        """Reduce a coboundary column fraction-free against the pivots
+        taken so far, building each owner's column on first use; store
+        it under its new pivot and return that, or None if it reduces to
+        zero."""
         while col:
             low = min(col)
             pivot = taken.get(low)
@@ -215,7 +198,10 @@ class IntervalHomology:
                 return low
             if isinstance(pivot, tuple):
                 pivot = taken[low] = self._cofaces(pivot)
-            col ^= pivot
+            a, b = cancel_factors(pivot[low], col[low])
+            # rows are chains and no tuple is below (), so every row of
+            # the pivot is used
+            combine(a, col, b, pivot, ())
         return None
 
     def _between(self, a: int, b: int) -> Iterator[int]:
@@ -242,12 +228,15 @@ class IntervalHomology:
             return s + (above[0],)
         return None
 
-    def _cofaces(self, s: tuple[int, ...]) -> set[tuple[int, ...]]:
-        """Every chain that adds one vertex to s."""
-        cofaces = {(v,) + s for v in self._below[s[0]]}
+    def _cofaces(self, s: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """Every chain that adds one vertex to s, with its coboundary
+        sign (-1)^p for the vertex put at position p."""
+        cofaces = {(v,) + s: 1 for v in self._below[s[0]]}
         for i in range(1, len(s)):
-            cofaces.update(s[:i] + (v,) + s[i:] for v in self._between(s[i - 1], s[i]))
-        cofaces.update(s + (v,) for v in self._above[s[-1]])
+            sign = (-1) ** i
+            cofaces.update((s[:i] + (v,) + s[i:], sign) for v in self._between(s[i - 1], s[i]))
+        sign = (-1) ** len(s)
+        cofaces.update((s + (v,), sign) for v in self._above[s[-1]])
         return cofaces
 
     def _boundary_columns(self, j: int, cleared: Container[int] = ()) -> list[dict[int, int]]:
@@ -260,12 +249,6 @@ class IntervalHomology:
             else {face_index[s[:pos] + s[pos + 1 :]]: -1 if pos % 2 else 1 for pos in range(len(s))}
             for c, s in enumerate(self.simplices.get(j, ()))
         ]
-
-    def _integer_echelon(self, j: int, cleared: Container[int]) -> dict[int, dict[int, int]]:
-        """The boundary out of degree j reduced over the integers, with
-        the mod-2 lows out of j+1 cleared."""
-        echelon, _ = eliminate(self._boundary_columns(j, cleared), cleared=cleared, relations=False)
-        return echelon
 
     def vertex_map(self, perm: tuple[int, ...]) -> list[int]:
         """Action of a symmetric-group element on the vertex indices:
@@ -323,7 +306,10 @@ class IntervalHomology:
         against, the boundary echelon one degree up and the cycles with
         rows in descending order, built on first use."""
         if degree not in self._cycles:
-            above = self._integer_echelon(degree + 1, self._mod2_lows.get(degree + 2, ()))
+            cleared = self._lows[degree + 2]
+            above, _ = eliminate(
+                self._boundary_columns(degree + 1, cleared), cleared=cleared, relations=False
+            )
             _, cycles = eliminate(self._boundary_columns(degree, above), cleared=above)
             self._cycles[degree] = cycles
             self._basis[degree] = {

@@ -11,11 +11,6 @@ zero leaves that relation, a kernel vector whose largest index is the
 column itself.  Columns named as cleared are skipped: in a chain
 complex these are the lows of the degree above, which are known to
 reduce to zero (the clearing twist of Chen and Kerber).
-
-The ranks mod 2 are not found here: ``homology`` pairs chains by
-reducing coboundaries over GF(2), building a column only when its least
-coface is taken, and comes here for the integer rank of a map that
-torsion may leave open and for the cycles its traces read.
 """
 
 from __future__ import annotations

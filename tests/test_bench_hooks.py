@@ -75,10 +75,11 @@ def test_traced_query_counts_plethysm_degrees():
 
 
 def test_traced_lattice_model_reaches_every_layer():
-    # the chains, the integer ranks and the traces each run behind a
-    # traced name; integer elimination runs only where two adjacent
-    # degrees carry homology mod 2, as at the top of the 3-equal lattice
-    # at n=6, whose homology is {1: 10, 2: 10}
+    # the chains, the integer cycles and the traces each run behind a
+    # traced name; integer elimination runs only to trace a degree other
+    # than the Lefschetz one, so only where an interval has homology in
+    # two degrees, as at the top of the 3-equal lattice at n=6, whose
+    # homology is {1: 10, 2: 10}
     script = "\n".join([
         "import json, sys",
         f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(TRACING.parent)!r}]",

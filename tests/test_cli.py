@@ -100,17 +100,8 @@ def test_table_horizon_limited():
     assert out.splitlines()[1] == "3,3,horizon-limited"
 
 
-def test_table_parallel_matches_serial():
-    code, serial, _ = run_cli("table", "--d", "2", "--k", "3", "--i", "3..4", "--format", "csv")
-    code2, parallel, _ = run_cli(
-        "table", "--d", "2", "--k", "3", "--i", "3..4", "--format", "csv", "--jobs", "2"
-    )
-    assert code == code2 == EXIT_OK
-    assert serial == parallel
-
-
 def test_cli_import_leaves_process_pool_unloaded():
-    # the pool module is imported only where --jobs > 1 makes a pool
+    # no command runs a process pool, so importing the CLI loads none
     src = os.path.dirname(os.path.dirname(arrstab.__file__))
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import arrstab.cli; "
@@ -219,19 +210,6 @@ def test_nonpositive_horizon_is_usage_error(command, value):
     code, out, err = run_cli(command, "--d", "2", "--k", "3", "--i", "3", "--horizon", value)
     assert code == EXIT_USAGE and out == ""
     assert "--horizon: must be at least 1" in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["table", "--d", "2", "--k", "3", "--i", "3", "--jobs", "0"],
-        ["verify", "--d", "2", "--k", "3", "--n-max", "3", "--jobs", "-1"],
-    ],
-)
-def test_nonpositive_jobs_is_usage_error(argv):
-    code, out, err = run_cli(*argv)
-    assert code == EXIT_USAGE and out == ""
-    assert "--jobs: must be at least 1" in err
 
 
 def test_bounds_k_mode():

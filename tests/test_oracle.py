@@ -300,7 +300,7 @@ def test_echelon_mod2_rank():
 
 def test_coboundary_lows_match_boundary_reduction(monkeypatch):
     # the coboundary pass pairs the same chains as reducing each boundary
-    # map mod 2 from the left by largest row, with no clearing.  Columns
+    # map over Q from the left by largest row, with no clearing.  Columns
     # whose least coface is already taken are reduced in full: 11 on the
     # k=3, n=7 top, 24 on the [2,2], n=6 top and 410 on the k=3, n=8 top
     collisions = 0
@@ -316,18 +316,18 @@ def test_coboundary_lows_match_boundary_reduction(monkeypatch):
     cases.append((k3, k3.canonical_of_type(Partition((8,)))))
     for lat, rep in cases:
         hom = IntervalHomology(lat.open_interval(rep))
-        reduce_mod2 = hom._reduce_mod2
+        reduce = hom._reduce
 
         def counted(col, taken):
             nonlocal collisions
             collisions += 1
-            return reduce_mod2(col, taken)
+            return reduce(col, taken)
 
-        monkeypatch.setattr(hom, "_reduce_mod2", counted)
+        monkeypatch.setattr(hom, "_reduce", counted)
         lows = hom._coboundary_lows()
         assert set(lows) == set(range(hom.top + 2))
         for j in range(hom.top + 1):
-            reference = echelon_mod2(set(col) for col in hom._boundary_columns(j))
+            reference, _ = eliminate(hom._boundary_columns(j), relations=False)
             assert lows[j] == set(reference), (rep, j)
         assert not lows[hom.top + 1]
     assert len(cases) == 72
@@ -375,14 +375,26 @@ def test_torsion_is_certified_over_the_rationals(facets, n):
     # the order complex of a face poset is the barycentric subdivision:
     # the 6-vertex RP^2 has H_1(Z) = Z/2, so homology mod 2 in degrees 1
     # and 2 and none over Q; a tetrahedron glued on a face changes nothing
-    # but puts a boundary map above the torsion, whose mod-2 lows the
-    # integer reduction clears
+    # but puts a boundary map above the torsion, whose lows the signed
+    # pass clears
     hom = IntervalHomology(_face_poset(facets, n))
     assert hom.top == (2 if n == 7 else 3)
     assert _mod2_dims(hom) == {1: 1, 2: 1}
     assert hom.dims == _integer_dims(hom) == {}
     assert hom.lefschetz_degree is None
     assert all(hom.trace(j, tuple(range(n))) == 0 for j in range(-1, hom.top + 1))
+
+
+def test_signed_ranks_match_integer_rank_pass():
+    # order complexes of the lattices cannot tell signed ranks from
+    # unsigned ones; face posets of random complexes on the points 1..7
+    # can: there, dropping the coboundary signs changes the homology
+    rng = random.Random(5)
+    for _ in range(200):
+        count = rng.randint(2, 9)
+        facets = [tuple(rng.sample(range(1, 8), rng.choice((3, 4)))) for _ in range(count)]
+        hom = IntervalHomology(_face_poset(facets, 8))
+        assert hom.dims == _integer_dims(hom), facets
 
 
 def test_mod2_lows_may_be_cleared_over_the_rationals():
