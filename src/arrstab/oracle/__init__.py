@@ -25,8 +25,6 @@ from .groups import (
     stabilizer_order,
 )
 from .homology import IntervalHomology
-from .linalg import eliminate
-from .monomial import monomial_expand, plethysm_expand, schur_decompose
 from .posets import (
     DEFAULT_EQUIVARIANT_LIMIT,
     DEFAULT_LATTICE_LIMIT,
@@ -46,10 +44,6 @@ __all__ = [
     "interval_homology",
     "orientation_sign",
     "sw_complement_char",
-    "monomial_expand",
-    "plethysm_expand",
-    "schur_decompose",
-    "eliminate",
 ]
 
 

@@ -52,40 +52,35 @@ the others, and needs only to know which vertices g fixes: g fixes a
 set partition exactly when it maps each block into a block, since the
 image then refines it with as many blocks.
 
-Any other degree j is reduced on first use.  The boundary echelon one
-degree up is built over the integers, clearing the lows two degrees up
-that the rank pass found, and the boundaries of the j-simplices are
-eliminated with relation vectors, clearing its lows, giving one cycle
-z_tau for every essential j-simplex tau: a column that reduces to zero
-without having been cleared.  The lows of the boundary
-echelon and of the essential cycles are distinct and together span the
-cycles, so a trace is read off without solving anything: g*z_tau is
-reduced from the top against them until its largest index is at most
-tau, and what is left at tau, over z_tau[tau], is the coefficient of
-z_tau.  Rows below tau never reach tau, so the reduction keeps only the
-rows at or above it.
+Any other degree j is traced on cocycles: homology over Q carries a
+rational character, so the traces on H^j are those on H_j (Ripser's
+scheme: Bauer, Ripser, 2021).  Its first trace runs the passes out of
+j-1 and j again, the second carrying records: the j-chains whose
+coboundary each column is, combined by the same steps.  A j-chain that
+is not cleared and whose column reduces to zero gives an essential
+cocycle z_tau, its record, whose least row is tau; a chain with no
+coface is one alone.  By the twist, each cleared j-chain is the least
+row of a column of the pass out of j-1, a coboundary, so these columns
+and the essential cocycles are a basis of the cocycles with distinct
+least rows.  A trace is read off without solving anything: g*z_tau is
+reduced from its least row against them until that row is tau, and
+what is left at tau, over z_tau[tau], is the coefficient of z_tau.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Container, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ..partitions import SetPartition
-from .linalg import cancel_factors, combine, eliminate
+from .linalg import cancel_factors, combine
 from .posets import pair_mask
 
-
-class _ChainIndex(dict):
-    """Each degree's map from chain to index, built on first use."""
-
-    def __init__(self, simplices: dict[int, list[tuple[int, ...]]]):
-        super().__init__()
-        self._simplices = simplices
-
-    def __missing__(self, degree: int) -> dict[tuple[int, ...], int]:
-        index = self[degree] = {s: c for c, s in enumerate(self._simplices[degree])}
-        return index
+Chain = tuple[int, ...]
+Column = dict[Chain, int]
+# a pass's pivots: each low mapped to its column, or to its owner's chain
+# while that column is not built
+Taken = dict[Chain, Chain | Column]
 
 
 class IntervalHomology:
@@ -120,8 +115,7 @@ class IntervalHomology:
                 self._below[j].append(i)
         # each degree's chains in lexicographic order, which is their
         # index order
-        self.simplices: dict[int, list[tuple[int, ...]]] = {-1: [()]}
-        self.index = _ChainIndex(self.simplices)
+        self.simplices: dict[int, list[Chain]] = {-1: [()]}
         frontier = [(i,) for i in range(nverts)]
         dim = 0
         while frontier:
@@ -130,78 +124,93 @@ class IntervalHomology:
             dim += 1
         self.top = dim - 1
 
-        lows = self._coboundary_lows()
-        ranks = {j: len(rows) for j, rows in lows.items()} | {-1: 0}
-        degrees = range(-1, self.top + 1)
-        self.dims = {
-            j: h for j in degrees if (h := self.chain_count(j) - ranks[j] - ranks[j + 1])
-        }
+        # the one coface of the empty chain is the least vertex, so the
+        # boundary out of degree 0 has rank 1 unless there is none
+        cleared: Taken = {(0,): ()} if self.vertices else {}
+        self.dims = {} if self.vertices else {-1: 1}
+        # the chains that the pass out of j-1 clears, the lows of the pass
+        # out of j-2 (below), are kept for a degree j to trace on cocycles
+        self._cleared: dict[int, set[Chain]] = {}
+        below: Taken = {}
+        for j in range(self.top + 1):
+            taken = self._coboundary_lows(j, cleared)
+            if h := self.chain_count(j) - len(cleared) - len(taken):
+                self.dims[j] = h
+                if j:
+                    self._cleared[j - 1] = set(below)
+            below, cleared = cleared, taken
         # of two degrees with equal homology the higher has the longer
         # chains, so it is the one not to reduce; an acyclic interval
         # has none
         self.lefschetz_degree = max(self.dims, key=lambda j: (self.dims[j], j), default=None)
-        # what building the cycles of a degree j clears one degree up
-        self._lows = {j + 2: lows.get(j + 2, set()) for j in self.dims}
-        self._cycles: dict[int, dict[int, dict[int, int]]] = {}
-        self._basis: dict[int, dict[int, dict[int, int]]] = {}
+        if self.lefschetz_degree is not None:
+            self._cleared.pop(self.lefschetz_degree - 1, None)
+        self._cocycles: dict[int, tuple[Taken, dict[Chain, Column]]] = {}
         self._reduced_traces: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def chain_count(self, degree: int) -> int:
         return len(self.simplices.get(degree, ()))
 
-    def _coboundary_lows(self) -> dict[int, set[int]]:
-        """lows[j]: the lows of the boundary out of degree j reduced over
-        Q, as indices of (j-1)-chains, found by reducing the coboundaries.
+    def _coboundary_lows(
+        self, j: int, cleared: set[Chain] | Taken, cocycles: dict[Chain, Column] | None = None
+    ) -> Taken:
+        """Reduce the coboundary out of degree j over Q; return the
+        pivots taken, each low (a (j+1)-chain) mapped to its reduced
+        column, or to the j-chain that owns it while that column is not
+        built.
 
-        The coboundary out of each degree j below the top is reduced
-        with its j-chains in descending order, each column's pivot its
-        least coface, and the j-chains that were pivots one degree down
-        cleared.  A column is built only when its least coface is
-        already taken; until then a pivot keeps the chain that owns it.
-        The column of j-chain c gets a pivot exactly when c is a low of
-        the boundary out of j+1.
+        The j-chains are taken in descending order, each column's pivot
+        its least coface, and the ``cleared`` ones skipped: the lows of
+        the pass out of j-1.  A column is built only when its least
+        coface is already taken.  The number of pivots is the rank of
+        the boundary out of j+1.  With ``cocycles``, every column carries
+        its record, and each essential cocycle is stored there under its
+        least row: the record of a column that reduces to zero, or the
+        chain alone if it has no coface.
         """
-        lows = {0: {0} if self.vertices else set(), self.top + 1: set()}
-        # the one coface of the empty chain is the least vertex
-        taken: dict[tuple[int, ...], tuple[int, ...] | dict[tuple[int, ...], int]] = (
-            {(0,): ()} if self.vertices else {}
-        )
-        for j in range(self.top):
-            cleared, taken, pivoted = taken, {}, set()
-            chains = self.simplices[j]
-            for c in range(len(chains) - 1, -1, -1):
-                s = chains[c]
-                if s in cleared:
-                    continue
-                low = self._least_coface(s)
-                if low in taken:
-                    low = self._reduce(self._cofaces(s), taken)
-                elif low is not None:
-                    taken[low] = s
-                if low is not None:
-                    pivoted.add(c)
-            lows[j + 1] = pivoted
-        return lows
+        taken: Taken = {}
+        records: dict[Chain, Column] | None = None if cocycles is None else {}
+        for s in reversed(self.simplices[j]):
+            if s in cleared:
+                continue
+            # a top chain has no coface
+            low = self._least_coface(s) if j < self.top else None
+            record = None
+            if low in taken:
+                record = {s: 1}
+                low = self._reduce(self._cofaces(s), taken, record, records)
+            elif low is not None:
+                taken[low] = s
+            if low is None and cocycles is not None:
+                cocycles[s] = record or {s: 1}
+        return taken
 
     def _reduce(
-        self, col: dict[tuple[int, ...], int], taken: dict[tuple[int, ...], tuple[int, ...] | dict]
-    ) -> tuple[int, ...] | None:
+        self, col: Column, taken: Taken, record: Column, records: dict[Chain, Column] | None
+    ) -> Chain | None:
         """Reduce a coboundary column fraction-free against the pivots
         taken so far, building each owner's column on first use; store
         it under its new pivot and return that, or None if it reduces to
-        zero."""
+        zero.  With ``records``, ``record`` (the chains whose coboundary
+        the column is) takes the same steps, and each pivot's is kept."""
         while col:
             low = min(col)
             pivot = taken.get(low)
             if pivot is None:
                 taken[low] = col
+                if records is not None:
+                    records[low] = record
                 return low
             if isinstance(pivot, tuple):
+                if records is not None:
+                    records[low] = {pivot: 1}
                 pivot = taken[low] = self._cofaces(pivot)
             a, b = cancel_factors(pivot[low], col[low])
             # rows are chains and no tuple is below (), so every row of
             # the pivot is used
             combine(a, col, b, pivot, ())
+            if records is not None:
+                combine(a, record, b, records[low], ())
         return None
 
     def _between(self, a: int, b: int) -> Iterator[int]:
@@ -214,7 +223,7 @@ class IntervalHomology:
             if not self._masks[v] & outside:
                 yield v
 
-    def _least_coface(self, s: tuple[int, ...]) -> tuple[int, ...] | None:
+    def _least_coface(self, s: Chain) -> Chain | None:
         """The least chain that adds one vertex to s, in lexicographic
         order, or None if s is maximal.  A vertex below s[0] is less than
         s[0], so it goes first; failing that, a vertex in the first gap
@@ -228,7 +237,7 @@ class IntervalHomology:
             return s + (above[0],)
         return None
 
-    def _cofaces(self, s: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    def _cofaces(self, s: Chain) -> Column:
         """Every chain that adds one vertex to s, with its coboundary
         sign (-1)^p for the vertex put at position p."""
         cofaces = {(v,) + s: 1 for v in self._below[s[0]]}
@@ -238,17 +247,6 @@ class IntervalHomology:
         sign = (-1) ** len(s)
         cofaces.update((s + (v,), sign) for v in self._above[s[-1]])
         return cofaces
-
-    def _boundary_columns(self, j: int, cleared: Container[int] = ()) -> list[dict[int, int]]:
-        """The boundary of each j-simplex over the (j-1)-simplices, left
-        empty for the cleared ones, which elimination skips."""
-        face_index = self.index[j - 1]
-        return [
-            {}
-            if c in cleared
-            else {face_index[s[:pos] + s[pos + 1 :]]: -1 if pos % 2 else 1 for pos in range(len(s))}
-            for c, s in enumerate(self.simplices.get(j, ()))
-        ]
 
     def vertex_map(self, perm: tuple[int, ...]) -> list[int]:
         """Action of a symmetric-group element on the vertex indices:
@@ -301,59 +299,60 @@ class IntervalHomology:
                 total += starting[v]
         return total
 
-    def _reduced_cycles(self, degree: int) -> tuple[dict, dict]:
-        """The essential cycles of ``degree`` and the basis they reduce
-        against, the boundary echelon one degree up and the cycles with
-        rows in descending order, built on first use."""
-        if degree not in self._cycles:
-            cleared = self._lows[degree + 2]
-            above, _ = eliminate(
-                self._boundary_columns(degree + 1, cleared), cleared=cleared, relations=False
-            )
-            _, cycles = eliminate(self._boundary_columns(degree, above), cleared=above)
-            self._cycles[degree] = cycles
-            self._basis[degree] = {
-                low: dict(sorted(col.items(), reverse=True)) for low, col in above.items()
-            } | cycles
-        return self._cycles[degree], self._basis[degree]
+    def _essential_cocycles(self, degree: int) -> tuple[Taken, dict[Chain, Column]]:
+        """The coboundary echelon into ``degree`` and its essential
+        cocycles, each under its least row, built on first use by the
+        passes out of degree-1 and degree.  The echelon into degree 0 is
+        the coboundary of the empty chain, every vertex with sign +1.  A
+        pass with no chains kept to clear takes the same pivots."""
+        if degree not in self._cocycles:
+            if degree == 0:
+                echelon = {(0,): {(v,): 1 for v in range(len(self.vertices))}}
+            else:
+                cleared = self._cleared.pop(degree - 1, set())
+                echelon = self._coboundary_lows(degree - 1, cleared)
+            cocycles: dict[Chain, Column] = {}
+            self._coboundary_lows(degree, echelon, cocycles)
+            self._cocycles[degree] = echelon, cocycles
+        return self._cocycles[degree]
 
     def _reduced_trace(self, degree: int, perm: tuple[int, ...]) -> int:
-        """Trace on ``degree`` by reducing the moved essential cycles,
+        """Trace on ``degree`` by reducing the moved essential cocycles,
         kept per permutation for the Lefschetz degree to reuse.
 
-        Each essential cycle z_tau is moved by the permutation and
-        reduced from the top; the fraction-free steps multiply it by
-        ``scale``, so the coefficient of z_tau is x[tau] / (scale *
-        z_tau[tau]).  No step below tau can reach tau, so only the moved
-        cycle's entries at rows >= tau are kept, and each basis column
-        is read down to row tau (its rows are in descending order).
+        Each essential cocycle z_tau is moved by the permutation, which
+        keeps its chains increasing, and reduced from its least row; the
+        fraction-free steps multiply it by ``scale``, so the coefficient
+        of z_tau is x[tau] / (scale * z_tau[tau]).  No step above tau
+        can reach tau, so the moved cocycle keeps only its rows <= tau.
         """
         if (degree, perm) in self._reduced_traces:
             return self._reduced_traces[degree, perm]
-        cycles, basis = self._reduced_cycles(degree)
+        echelon, cocycles = self._essential_cocycles(degree)
         vmap = self.vertex_map(perm)
-        simp = self.simplices[degree]
-        idx = self.index[degree]
-        # the cycles share most of their chains: move each chain once
-        moved = {
-            a: idx[tuple(map(vmap.__getitem__, simp[a]))]
-            for a in set().union(*cycles.values())
-        }
+        # the cocycles may share chains: move each chain once
+        moved = {s: tuple(map(vmap.__getitem__, s)) for s in set().union(*cocycles.values())}
         total = 0
-        for tau, z in cycles.items():
-            x = {r: val for a, val in z.items() if (r := moved[a]) >= tau}
+        for tau, z in cocycles.items():
+            x = {r: val for s, val in z.items() if (r := moved[s]) <= tau}
             scale = 1
             while x:
-                low = max(x)
-                if low == tau:
+                low = min(x)
+                if low >= tau:
                     break
-                a, b = cancel_factors(basis[low][low], x[low])
-                combine(a, x, b, basis[low], tau)
+                pivot = echelon.get(low)
+                if isinstance(pivot, tuple):
+                    pivot = echelon[low] = self._cofaces(pivot)
+                elif pivot is None:
+                    if low not in cocycles:
+                        raise AssertionError(f"degree {degree}: no cocycle has least row {low}")
+                    pivot = cocycles[low]
+                a, b = cancel_factors(pivot[low], x[low])
+                combine(a, x, b, pivot, ())
                 scale *= a
-            den = scale * z[tau]
-            coeff, rest = divmod(x.get(tau, 0), den)
+            den, at_tau = scale * z[tau], x.get(tau, 0)
             # each coefficient is an integer while every pivot is a unit
-            total += Fraction(x[tau], den) if rest else coeff
+            total += Fraction(at_tau, den) if at_tau % den else at_tau // den
         if total != int(total):
             raise AssertionError(f"non-integral homology trace {total}")
         self._reduced_traces[degree, perm] = int(total)

@@ -37,7 +37,6 @@ from .symfunc import (
     h,
     from_text,
     lie_series,
-    mul,
     omega,
     pad,
     plethysm,
@@ -116,7 +115,7 @@ def psi(params: PsiParams) -> SymmetricFunction:
     part = psi_degree_part(params)
     if not part:
         return part
-    return mul(part, h(params.q))
+    return pad(part, params.q)
 
 
 def _check_character(f: SymmetricFunction, degree: int, context: str) -> None:

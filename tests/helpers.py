@@ -104,3 +104,18 @@ def trace_on_chains(hom, degree, perm):
         return 1
     fixed = hom._fixed_vertices(perm)
     return sum(1 for s in hom.simplices.get(degree, ()) if all(map(fixed.__getitem__, s)))
+
+
+def chain_index(hom, j):
+    """Each j-chain of an ``IntervalHomology`` mapped to its index."""
+    return {s: c for c, s in enumerate(hom.simplices.get(j, ()))}
+
+
+def boundary_columns(hom, j):
+    """The boundary of each j-chain of an ``IntervalHomology`` as a
+    column over the indices of the (j-1)-chains."""
+    faces = chain_index(hom, j - 1)
+    return [
+        {faces[s[:pos] + s[pos + 1 :]]: -1 if pos % 2 else 1 for pos in range(len(s))}
+        for s in hom.simplices.get(j, ())
+    ]

@@ -1,4 +1,4 @@
-"""Monomial-expansion oracle for products and plethysms.
+"""Monomial-expansion reference for products and plethysms.
 
 Expands symmetric functions into explicit polynomials: Schur keys by
 enumerating semistandard fillings, power keys as products of power-sum
@@ -12,9 +12,9 @@ from fractions import Fraction
 from functools import cache
 from typing import Mapping
 
-from ..partitions import Partition
-from ..symfunc import SymmetricFunction, to_power
-from ..symfunc.core import POWER, Coeff, _norm
+from arrstab.partitions import Partition
+from arrstab.symfunc import SymmetricFunction, to_power
+from arrstab.symfunc.core import POWER, Coeff, _norm
 
 Poly = dict[tuple[int, ...], Coeff]
 

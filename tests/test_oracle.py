@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -11,8 +11,6 @@ from arrstab.oracle import (
     _orbits,
     build_pi_lambda,
     interval_homology,
-    monomial_expand,
-    schur_decompose,
     sw_complement_char,
 )
 from arrstab.oracle.groups import (
@@ -42,7 +40,8 @@ from arrstab.symfunc import (
     schur,
     to_schur,
 )
-from helpers import echelon_mod2, trace_on_chains
+from helpers import boundary_columns, chain_index, echelon_mod2, trace_on_chains
+from monomial import monomial_expand, schur_decompose
 
 
 def classes_of(pi):
@@ -141,7 +140,7 @@ def test_eliminate_random_sparse_systems(seed):
 
 def _boundary_matrix(hom, j):
     """Dense rows of the boundary from degree j to degree j-1."""
-    faces = hom.index[j - 1]
+    faces = chain_index(hom, j - 1)
     rows = [dict() for _ in range(hom.chain_count(j - 1))]
     for c, s in enumerate(hom.simplices[j]):
         for pos in range(len(s)):
@@ -167,29 +166,65 @@ def _cycle_trace(hom, j, cycles, g):
     """Trace of g on the cycles: the coefficient of basis vector k in
     g*k is k at the preimage of its free column."""
     vmap = hom.vertex_map(g)
+    index = chain_index(hom, j)
     preimage = {
-        hom.index[j][tuple(vmap[v] for v in s)]: a
+        index[tuple(vmap[v] for v in s)]: a
         for a, s in enumerate(hom.simplices.get(j, ()))
     }
     return sum(k.get(preimage[f], 0) for f, k in cycles.items())
 
 
+def _product_perms(n, *orbits):
+    """Every permutation of 0..n-1 that permutes each of the disjoint
+    ``orbits`` within itself and fixes the other points."""
+    perms = []
+    for images in product(*(permutations(orbit) for orbit in orbits)):
+        perm = list(range(n))
+        for orbit, image in zip(orbits, images):
+            for x, y in zip(orbit, image):
+                perm[x] = y
+        perms.append(tuple(perm))
+    return perms
+
+
 def test_traces_match_dense_reference():
-    cases = [
+    lattices = [
         # the k=3, n=6 top interval has homology in two adjacent degrees
         (build_pi_lambda(6, [Partition((3, 1, 1, 1))]), Partition((6,)), {1: 10, 2: 10}, 170),
         (full_lattice(5), Partition((5,)), {2: 24}, 205),
         (build_pi_lambda(5, [Partition((2, 2, 1))]), Partition((5,)), {1: 16}, 45),
         (build_pi_lambda(7, [Partition((5, 1, 1))]), Partition((7,)), {1: 15}, 42),
     ]
-    for lat, mu, dims, edges in cases:
-        rep = lat.canonical_of_type(mu)
-        hom = IntervalHomology(lat.open_interval(rep))
+    cases = [
+        (lat.open_interval(rep), dims, edges, [cls[0] for cls in classes_of(rep)])
+        for lat, mu, dims, edges in lattices
+        for rep in [lat.canonical_of_type(mu)]
+    ]
+    # on the lattices every essential cocycle below the Lefschetz degree
+    # is a single chain; on these face posets those of degree 0 hold 14
+    # and 6 chains: S^1 + S^2 under S_3 x S_4, S^1 + S^1 + pt under S_3 x S_3
+    circle = [(1, 2), (1, 3), (2, 3)]
+    sphere = [(4, 5, 6), (4, 5, 7), (4, 6, 7), (5, 6, 7)]
+    cases += [
+        (
+            _face_poset(circle + sphere, 8),
+            {0: 1, 1: 1, 2: 1},
+            42,
+            _product_perms(8, (1, 2, 3), (4, 5, 6, 7)),
+        ),
+        (
+            _face_poset(circle + [(4, 5), (4, 6), (5, 6), (7,)], 8),
+            {0: 2, 1: 2},
+            12,
+            _product_perms(8, (1, 2, 3), (4, 5, 6)),
+        ),
+    ]
+    for vertices, dims, edges, perms in cases:
+        hom = IntervalHomology(vertices)
         assert hom.dims == dims
         assert hom.chain_count(1) == edges
         cycles = {j: _dense_cycles(hom, j) for j in range(0, hom.top + 2)}
-        for cls in classes_of(rep):
-            g = cls[0]
+        for g in perms:
             for j in range(0, hom.top + 1):
                 # trace on homology = on cycles - on boundaries, and the
                 # boundaries of degree j are the chains of degree j+1
@@ -199,26 +234,25 @@ def test_traces_match_dense_reference():
 
 
 def test_trace_reads_basis_entries_at_the_cycle_row():
-    # the reductions leave no basis entry at an essential cycle's own
-    # row, so add each essential cycle to the next one: the basis keeps
-    # its lows and spans the same homology, and the traces stay the same.
-    # Of the k=3, n=6 top's two degrees, degree 1 is the one reduced.
+    # the essential cocycles of the k=3, n=6 top are single chains, so
+    # add to each the one with the next least row: the basis keeps its
+    # least rows and spans the same cocycles, and the traces stay the
+    # same.  Of the top's two degrees, degree 1 is the one reduced.
     lat = build_pi_lambda(6, [Partition((3, 1, 1, 1))])
     rep = lat.canonical_of_type(Partition((6,)))
     reference = IntervalHomology(lat.open_interval(rep))
     expected = {cls[0]: reference.trace(1, cls[0]) for cls in classes_of(rep)}
     hom = IntervalHomology(lat.open_interval(rep))
     assert (hom.dims, hom.lefschetz_degree) == ({1: 10, 2: 10}, 2)
-    cycles, basis = hom._reduced_cycles(1)
-    taus = list(cycles)
-    mixed = {taus[0]: cycles[taus[0]]}
-    for prev, tau in zip(taus, taus[1:]):
-        vec = dict(cycles[tau])
-        combine(1, vec, -1, cycles[prev])
-        mixed[tau] = dict(sorted(vec.items(), reverse=True))
-        assert prev in mixed[tau]
-    hom._cycles[1] = mixed
-    hom._basis[1] = {**basis, **mixed}
+    echelon, cocycles = hom._essential_cocycles(1)
+    taus = sorted(cocycles)
+    mixed = {taus[-1]: cocycles[taus[-1]]}
+    for tau, after in zip(taus, taus[1:]):
+        vec = dict(cocycles[tau])
+        combine(1, vec, -1, cocycles[after], ())
+        mixed[tau] = vec
+        assert min(vec) == tau and after in vec
+    hom._cocycles[1] = echelon, mixed
     for g, value in expected.items():
         assert hom.trace(1, g) == value
 
@@ -257,8 +291,8 @@ def test_lefschetz_trace_matches_reduction():
         multi += len(hom.dims) > 1
         reps = [cls[0] for cls in classes_of(rep)]
         traces = {(j, g): hom.trace(j, g) for j in hom.dims for g in reps}
-        # the Lefschetz degree is traced without building its cycles
-        assert set(hom._cycles) == set(hom.dims) - {hom.lefschetz_degree}
+        # the Lefschetz degree is traced without building its cocycles
+        assert set(hom._cocycles) == set(hom.dims) - {hom.lefschetz_degree}
         for (j, g), value in traces.items():
             assert hom._lefschetz_trace(j, g) == hom._reduced_trace(j, g) == value
     assert multi == 3
@@ -270,7 +304,7 @@ def _integer_dims(hom):
     up."""
     dims, lows = {}, {}
     for j in range(hom.top, -1, -1):
-        columns = hom._boundary_columns(j)
+        columns = boundary_columns(hom, j)
         echelon, _ = eliminate(columns, cleared=lows, relations=False)
         if essential := len(columns) - len(lows) - len(echelon):
             dims[j] = essential
@@ -284,7 +318,7 @@ def _mod2_dims(hom):
     """Homology over GF(2), from ranks without clearing."""
     ranks = {-1: 0, hom.top + 1: 0}
     for j in range(hom.top + 1):
-        ranks[j] = len(echelon_mod2(set(col) for col in hom._boundary_columns(j)))
+        ranks[j] = len(echelon_mod2(set(col) for col in boundary_columns(hom, j)))
     dims = {j: hom.chain_count(j) - ranks[j] - ranks[j + 1] for j in range(-1, hom.top + 1)}
     return {j: h for j, h in dims.items() if h}
 
@@ -300,9 +334,10 @@ def test_echelon_mod2_rank():
 
 def test_coboundary_lows_match_boundary_reduction(monkeypatch):
     # the coboundary pass pairs the same chains as reducing each boundary
-    # map over Q from the left by largest row, with no clearing.  Columns
-    # whose least coface is already taken are reduced in full: 11 on the
-    # k=3, n=7 top, 24 on the [2,2], n=6 top and 410 on the k=3, n=8 top
+    # map over Q from the left by largest row, with no clearing, and its
+    # records are cocycles, as many as the homology.  Columns whose least
+    # coface is already taken are reduced in full: 11 on the k=3, n=7
+    # top, 24 on the [2,2], n=6 top and 410 on the k=3, n=8 top
     collisions = 0
     bases = [((3,), 7), ((4,), 7), ((5,), 7), ((2,), 6), ((2, 2), 6)]
     cases = [
@@ -318,18 +353,30 @@ def test_coboundary_lows_match_boundary_reduction(monkeypatch):
         hom = IntervalHomology(lat.open_interval(rep))
         reduce = hom._reduce
 
-        def counted(col, taken):
+        def counted(*args):
             nonlocal collisions
             collisions += 1
-            return reduce(col, taken)
+            return reduce(*args)
 
         monkeypatch.setattr(hom, "_reduce", counted)
-        lows = hom._coboundary_lows()
-        assert set(lows) == set(range(hom.top + 2))
+        # the coboundary of the empty chain takes the least vertex
+        cleared = {(0,)}
         for j in range(hom.top + 1):
-            reference, _ = eliminate(hom._boundary_columns(j), relations=False)
-            assert lows[j] == set(reference), (rep, j)
-        assert not lows[hom.top + 1]
+            cocycles = {}
+            taken = hom._coboundary_lows(j, cleared, cocycles)
+            pivoted = {
+                c for c, s in enumerate(hom.simplices[j]) if s not in cleared and s not in cocycles
+            }
+            reference, _ = eliminate(boundary_columns(hom, j + 1), relations=False)
+            assert pivoted == set(reference) and len(taken) == len(pivoted), (rep, j)
+            assert len(cocycles) == hom.dims.get(j, 0)
+            for tau, z in cocycles.items():
+                assert min(z) == tau
+                coboundary = {}
+                for s, value in z.items():
+                    combine(1, coboundary, -value, hom._cofaces(s), ())
+                assert coboundary == {}, (rep, j, tau)
+            cleared = taken
     assert len(cases) == 72
     assert collisions > 400
 
@@ -430,25 +477,24 @@ def test_mod2_lows_may_be_cleared_over_the_rationals():
 
 
 def test_braid_lattice_needs_no_integer_elimination(monkeypatch):
-    # every interval of the braid lattice has homology in one degree
-    import arrstab.oracle.homology as homology
+    # every interval of the braid lattice has homology in one degree, so
+    # every trace is a Lefschetz trace and no cocycle is built
+    calls = {"cocycles": 0, "IntervalHomology": 0}
+    cocycles, init = IntervalHomology._essential_cocycles, IntervalHomology.__init__
 
-    calls = {"eliminate": 0, "IntervalHomology": 0}
-    eliminate_, init = homology.eliminate, IntervalHomology.__init__
-
-    def counted_eliminate(*args, **kwargs):
-        calls["eliminate"] += 1
-        return eliminate_(*args, **kwargs)
+    def counted_cocycles(self, degree):
+        calls["cocycles"] += 1
+        return cocycles(self, degree)
 
     def counted_init(self, vertices):
         calls["IntervalHomology"] += 1
         init(self, vertices)
 
-    monkeypatch.setattr(homology, "eliminate", counted_eliminate)
+    monkeypatch.setattr(IntervalHomology, "_essential_cocycles", counted_cocycles)
     monkeypatch.setattr(IntervalHomology, "__init__", counted_init)
     _orbits.cache_clear()
     assert sw_complement_char(5, 2, [Partition((2, 1, 1, 1))], 3)
-    assert calls == {"eliminate": 0, "IntervalHomology": 6}
+    assert calls == {"cocycles": 0, "IntervalHomology": 6}
 
 
 def test_acyclic_interval_has_no_lefschetz_degree():
@@ -518,8 +564,8 @@ def test_boundary_squares_to_zero():
     top = lat.canonical_of_type(Partition((5,)))
     hom = IntervalHomology(lat.open_interval(top))
     for j in range(1, hom.top + 1):
-        prev = hom._boundary_columns(j - 1)
-        for column in hom._boundary_columns(j):
+        prev = boundary_columns(hom, j - 1)
+        for column in boundary_columns(hom, j):
             assert _apply(prev, column) == {}
 
 
@@ -859,11 +905,15 @@ def test_sw_matches_formula_n8(d, k):
         assert kequal_char(8, i, d, k) == sw_complement_char(8, d, types, i, limit=8)
 
 
-@pytest.mark.parametrize("d,k", [(2, 4), (3, 5)])
+@pytest.mark.parametrize("d,k", [(2, 3), (2, 4), (3, 5)])
 def test_sw_matches_formula_n9(d, k):
     types = [Partition((k,) + (1,) * (9 - k))]
-    for i in range(d * 9):
-        assert kequal_char(9, i, d, k) == sw_complement_char(9, d, types, i, limit=9)
+    try:
+        for i in range(d * 9):
+            assert kequal_char(9, i, d, k) == sw_complement_char(9, d, types, i, limit=9)
+    finally:
+        # the k=3 lattice model holds about 400 MB
+        _orbits.cache_clear()
 
 
 def test_sw_limit():

@@ -3,8 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from arrstab.oracle import monomial_expand, plethysm_expand
-from arrstab.oracle.monomial import evaluate, plethysm_evaluate, poly_mul
 from arrstab.partitions import partitions_of
 from arrstab.symfunc import (
     POWER,
@@ -21,6 +19,8 @@ from arrstab.symfunc import (
     to_schur,
     zero,
 )
+
+from monomial import evaluate, monomial_expand, plethysm_evaluate, plethysm_expand, poly_mul
 
 
 def test_identity_argument():
