@@ -69,7 +69,7 @@ class _Orbit:
     def __init__(self, lattice: PiLambdaLattice, pi: SetPartition):
         self.pi = pi
         self.homology = IntervalHomology(lattice.open_interval(pi))
-        self.classes = _stabilizer_classes(pi)
+        self.classes = stabilizer_classes(pi)
         self.order = stabilizer_order(pi)
         if sum(size for _, size in self.classes) != self.order:
             raise AssertionError(f"{pi!r}: class sizes do not sum to the order {self.order}")
@@ -84,14 +84,6 @@ class _Orbit:
     def odd_signs(self) -> list[int]:
         """The orientation character for odd d (for even d it is trivial)."""
         return [orientation_sign(self.pi, 1, rep) for rep, _ in self.classes]
-
-
-@functools.cache
-def _stabilizer_classes(pi: SetPartition) -> tuple[tuple[Perm, int], ...]:
-    """One representative and the size of each conjugacy class of the
-    stabilizer of ``pi``, built once for every lattice in which ``pi``
-    is an orbit's canonical element."""
-    return tuple(stabilizer_classes(pi))
 
 
 @functools.cache

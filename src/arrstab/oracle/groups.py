@@ -71,11 +71,13 @@ def stabilizer_order(pi: SetPartition) -> int:
     )
 
 
-def stabilizer_classes(pi: SetPartition) -> list[tuple[Perm, int]]:
+@cache
+def stabilizer_classes(pi: SetPartition) -> tuple[tuple[Perm, int], ...]:
     """One representative and the size of each conjugacy class of the
     stabilizer of pi.  A class of the product over block sizes is one
     class of each factor; its representative moves each factor's points
-    as that factor's does, and its size is the product of theirs."""
+    as that factor's does, and its size is the product of theirs.  Built
+    once for every lattice in which pi is an orbit's canonical element."""
     classes = []
     for choice in product(*map(_wreath_classes, _blocks_by_size(pi))):
         g = list(range(pi.n))
@@ -83,7 +85,7 @@ def stabilizer_classes(pi: SetPartition) -> list[tuple[Perm, int]]:
             for x, y in moves:
                 g[x] = y
         classes.append((tuple(g), prod(size for _, size in choice)))
-    return classes
+    return tuple(classes)
 
 
 def _wreath_classes(blocks: list[tuple[int, ...]]) -> list[tuple[list[tuple[int, int]], int]]:

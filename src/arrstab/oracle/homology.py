@@ -54,23 +54,26 @@ image then refines it with as many blocks.
 
 Any other degree j is traced on cocycles: homology over Q carries a
 rational character, so the traces on H^j are those on H_j (Ripser's
-scheme: Bauer, Ripser, 2021).  Its first trace runs the passes out of
-j-1 and j again, the second carrying records: the j-chains whose
-coboundary each column is, combined by the same steps.  A j-chain that
-is not cleared and whose column reduces to zero gives an essential
-cocycle z_tau, its record, whose least row is tau; a chain with no
-coface is one alone.  By the twist, each cleared j-chain is the least
-row of a column of the pass out of j-1, a coboundary, so these columns
-and the essential cocycles are a basis of the cocycles with distinct
-least rows.  A trace is read off without solving anything: g*z_tau is
-reduced from its least row against them until that row is tau, and
-what is left at tau, over z_tau[tau], is the coefficient of z_tau.
+scheme: Bauer, Ripser, 2021).  They come from the rank pass itself:
+every built column carries its record, the j-chains whose coboundary it
+is, combined by the same steps.  A j-chain that is not cleared and whose
+column reduces to zero gives an essential cocycle z_tau, its record,
+whose least row is tau; a chain with no coface is one alone.  Each
+degree with homology other than the Lefschetz degree keeps its
+essential cocycles and the pivots of the pass out of j-1, the coboundary
+echelon into j (into degree 0, the coboundary of the empty chain).  By
+the twist, each cleared j-chain is the least row of a column of that
+echelon, a coboundary, so these columns and the essential cocycles are
+a basis of the cocycles with distinct least rows.  A trace is read off
+without solving anything and without another pass: g*z_tau is reduced
+from its least row against them until that row is tau, and what is left
+at tau, over z_tau[tau], is the coefficient of z_tau.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ..partitions import SetPartition
 from .linalg import cancel_factors, combine
@@ -124,93 +127,89 @@ class IntervalHomology:
             dim += 1
         self.top = dim - 1
 
-        # the one coface of the empty chain is the least vertex, so the
-        # boundary out of degree 0 has rank 1 unless there is none
-        cleared: Taken = {(0,): ()} if self.vertices else {}
+        # the coboundary of the empty chain is every vertex with sign +1,
+        # its pivot the least vertex, so the boundary out of degree 0 has
+        # rank 1 unless there is none
+        taken: Taken = {(0,): {(v,): 1 for v in range(nverts)}}
         self.dims = {} if self.vertices else {-1: 1}
-        # the chains that the pass out of j-1 clears, the lows of the pass
-        # out of j-2 (below), are kept for a degree j to trace on cocycles
-        self._cleared: dict[int, set[Chain]] = {}
-        below: Taken = {}
+        # each degree with homology keeps the echelon into it, the pivots
+        # of the pass one degree down, and its essential cocycles
+        self._cocycles: dict[int, tuple[Taken, dict[Chain, Column]]] = {}
         for j in range(self.top + 1):
-            taken = self._coboundary_lows(j, cleared)
-            if h := self.chain_count(j) - len(cleared) - len(taken):
-                self.dims[j] = h
-                if j:
-                    self._cleared[j - 1] = set(below)
-            below, cleared = cleared, taken
+            cocycles: dict[Chain, Column] = {}
+            echelon, taken = taken, self._coboundary_lows(j, taken, cocycles)
+            if cocycles:
+                self.dims[j] = len(cocycles)
+                self._cocycles[j] = echelon, cocycles
         # of two degrees with equal homology the higher has the longer
         # chains, so it is the one not to reduce; an acyclic interval
-        # has none
+        # has none.  It is traced from fixed vertices, without its store.
         self.lefschetz_degree = max(self.dims, key=lambda j: (self.dims[j], j), default=None)
-        if self.lefschetz_degree is not None:
-            self._cleared.pop(self.lefschetz_degree - 1, None)
-        self._cocycles: dict[int, tuple[Taken, dict[Chain, Column]]] = {}
+        self._cocycles.pop(self.lefschetz_degree, None)
         self._reduced_traces: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def chain_count(self, degree: int) -> int:
         return len(self.simplices.get(degree, ()))
 
     def _coboundary_lows(
-        self, j: int, cleared: set[Chain] | Taken, cocycles: dict[Chain, Column] | None = None
+        self, j: int, cleared: set[Chain] | Taken, cocycles: dict[Chain, Column]
     ) -> Taken:
         """Reduce the coboundary out of degree j over Q; return the
         pivots taken, each low (a (j+1)-chain) mapped to its reduced
         column, or to the j-chain that owns it while that column is not
-        built.
+        built, and store each essential cocycle in ``cocycles`` under its
+        least row.
 
         The j-chains are taken in descending order, each column's pivot
         its least coface, and the ``cleared`` ones skipped: the lows of
         the pass out of j-1.  A column is built only when its least
-        coface is already taken.  The number of pivots is the rank of
-        the boundary out of j+1.  With ``cocycles``, every column carries
-        its record, and each essential cocycle is stored there under its
-        least row: the record of a column that reduces to zero, or the
-        chain alone if it has no coface.
+        coface is already taken, and then carries its record, the
+        j-chains whose coboundary it is.  The number of pivots is the
+        rank of the boundary out of j+1.  An essential cocycle is the
+        record of a column that reduces to zero, or a chain with no
+        coface alone.
         """
         taken: Taken = {}
-        records: dict[Chain, Column] | None = None if cocycles is None else {}
+        records: dict[Chain, Column] = {}
         for s in reversed(self.simplices[j]):
             if s in cleared:
                 continue
             # a top chain has no coface
             low = self._least_coface(s) if j < self.top else None
-            record = None
             if low in taken:
                 record = {s: 1}
-                low = self._reduce(self._cofaces(s), taken, record, records)
-            elif low is not None:
+                if self._reduce(self._cofaces(s), taken, record, records) is None:
+                    cocycles[s] = record
+            elif low is None:
+                cocycles[s] = {s: 1}
+            else:
                 taken[low] = s
-            if low is None and cocycles is not None:
-                cocycles[s] = record or {s: 1}
         return taken
 
     def _reduce(
-        self, col: Column, taken: Taken, record: Column, records: dict[Chain, Column] | None
+        self, col: Column, taken: Taken, record: Column, records: dict[Chain, Column]
     ) -> Chain | None:
         """Reduce a coboundary column fraction-free against the pivots
-        taken so far, building each owner's column on first use; store
-        it under its new pivot and return that, or None if it reduces to
-        zero.  With ``records``, ``record`` (the chains whose coboundary
-        the column is) takes the same steps, and each pivot's is kept."""
+        taken so far, building each owner's column on first use, while
+        ``record`` (the chains whose coboundary the column is) takes the
+        same steps; store the column under its new pivot, and its record
+        in ``records``, and return that pivot, or None if the column
+        reduces to zero."""
         while col:
             low = min(col)
             pivot = taken.get(low)
             if pivot is None:
                 taken[low] = col
-                if records is not None:
-                    records[low] = record
+                records[low] = record
                 return low
             if isinstance(pivot, tuple):
-                if records is not None:
-                    records[low] = {pivot: 1}
+                records[low] = {pivot: 1}
                 pivot = taken[low] = self._cofaces(pivot)
             a, b = cancel_factors(pivot[low], col[low])
             # rows are chains and no tuple is below (), so every row of
             # the pivot is used
             combine(a, col, b, pivot, ())
-            if records is not None:
-                combine(a, record, b, records[low], ())
+            combine(a, record, b, records[low], ())
         return None
 
     def _between(self, a: int, b: int) -> Iterator[int]:
@@ -248,19 +247,19 @@ class IntervalHomology:
         cofaces.update((s + (v,), sign) for v in self._above[s[-1]])
         return cofaces
 
-    def vertex_map(self, perm: tuple[int, ...]) -> list[int]:
-        """Action of a symmetric-group element on the vertex indices:
-        each block moves onto the block labelled by its least image."""
-        out = []
+    def vertex_map(self, perm: tuple[int, ...]) -> Callable[[int], int]:
+        """Action of a symmetric-group element on a vertex index: each
+        block moves onto the block labelled by its least image."""
         image = [0] * len(perm)
-        for v in self.vertices:
-            for block in v.blocks:
-                moved = [perm[x - 1] for x in block]
-                low = min(moved)
-                for y in moved:
-                    image[y] = low
-            out.append(self.vertex_index[tuple(image)])
-        return out
+
+        def move(v: int) -> int:
+            for block in self.vertices[v].blocks:
+                low = min(perm[x - 1] for x in block)
+                for x in block:
+                    image[perm[x - 1]] = low
+            return self.vertex_index[tuple(image)]
+
+        return move
 
     def trace(self, degree: int, perm: tuple[int, ...]) -> int:
         """Trace of the permutation on reduced homology in ``degree``."""
@@ -299,23 +298,6 @@ class IntervalHomology:
                 total += starting[v]
         return total
 
-    def _essential_cocycles(self, degree: int) -> tuple[Taken, dict[Chain, Column]]:
-        """The coboundary echelon into ``degree`` and its essential
-        cocycles, each under its least row, built on first use by the
-        passes out of degree-1 and degree.  The echelon into degree 0 is
-        the coboundary of the empty chain, every vertex with sign +1.  A
-        pass with no chains kept to clear takes the same pivots."""
-        if degree not in self._cocycles:
-            if degree == 0:
-                echelon = {(0,): {(v,): 1 for v in range(len(self.vertices))}}
-            else:
-                cleared = self._cleared.pop(degree - 1, set())
-                echelon = self._coboundary_lows(degree - 1, cleared)
-            cocycles: dict[Chain, Column] = {}
-            self._coboundary_lows(degree, echelon, cocycles)
-            self._cocycles[degree] = echelon, cocycles
-        return self._cocycles[degree]
-
     def _reduced_trace(self, degree: int, perm: tuple[int, ...]) -> int:
         """Trace on ``degree`` by reducing the moved essential cocycles,
         kept per permutation for the Lefschetz degree to reuse.
@@ -328,10 +310,10 @@ class IntervalHomology:
         """
         if (degree, perm) in self._reduced_traces:
             return self._reduced_traces[degree, perm]
-        echelon, cocycles = self._essential_cocycles(degree)
-        vmap = self.vertex_map(perm)
+        echelon, cocycles = self._cocycles[degree]
+        move = self.vertex_map(perm)
         # the cocycles may share chains: move each chain once
-        moved = {s: tuple(map(vmap.__getitem__, s)) for s in set().union(*cocycles.values())}
+        moved = {s: tuple(map(move, s)) for s in set().union(*cocycles.values())}
         total = 0
         for tau, z in cocycles.items():
             x = {r: val for s, val in z.items() if (r := moved[s]) <= tau}

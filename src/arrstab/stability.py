@@ -161,26 +161,20 @@ def kequal_char(n: int, i: int, d: int, k: int) -> SymmetricFunction:
         raise ValueError("n must be at least 1")
     if i < 0:
         raise ValueError("i must be nonnegative")
-    pieces: dict[int, SymmetricFunction] = {}
-    for params in kequal_summands(n, i, d, k):
-        m = params.n - params.q
-        pieces[m] = pieces.get(m, zero(SCHUR)) + psi_degree_part(params)
     total = zero(SCHUR)
-    for m, piece in pieces.items():
+    for m, piece in degree_pieces(d, k, i, n).items():
         total = total + pad(piece, n - m)
     _check_character(total, n, f"kequal_char(n={n}, i={i}, d={d}, k={k})")
     return total
 
 
-@cache
 def degree_pieces(d: int, k: int, i: int, top: int) -> dict[int, SymmetricFunction]:
     """The pieces {m: C_m} of the degree-i characteristic with m <= top.
 
     C_m sums the Schur pieces of the summands of restricted degree m;
     those with m <= top are the summands at n = top, with m = top - q.
     The characteristic at n is the sum of pad(C_m, n - m) over m <= n.
-    Since r <= t and k >= d+1, every m is at most i/(d-1).  Shared; do
-    not mutate.
+    Since r <= t and k >= d+1, every m is at most i/(d-1).
     """
     pieces: dict[int, SymmetricFunction] = {}
     for params in kequal_summands(top, i, d, k):

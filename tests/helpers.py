@@ -119,3 +119,15 @@ def boundary_columns(hom, j):
         {faces[s[:pos] + s[pos + 1 :]]: -1 if pos % 2 else 1 for pos in range(len(s))}
         for s in hom.simplices.get(j, ())
     ]
+
+
+def cocycle_store(hom, degree):
+    """The coboundary echelon into ``degree`` of an ``IntervalHomology``
+    and its essential cocycles, from its passes rerun up to that degree
+    (the store that ``__init__`` keeps for every degree with homology
+    but the Lefschetz degree)."""
+    taken = {(0,): {(v,): 1 for v in range(len(hom.vertices))}}
+    for j in range(degree + 1):
+        cocycles = {}
+        echelon, taken = taken, hom._coboundary_lows(j, taken, cocycles)
+    return echelon, cocycles

@@ -26,7 +26,7 @@ from arrstab.oracle.groups import (
     symmetric_group,
 )
 from arrstab.oracle.homology import IntervalHomology
-from arrstab.oracle.linalg import combine, eliminate
+from arrstab.oracle.linalg import cancel_factors, combine, eliminate
 from arrstab.oracle.posets import labels_of_type
 from arrstab.partitions import LambdaSet, Partition, SetPartition, all_set_partitions, partitions_of
 from arrstab.stability import kequal_char, lambda_char_smalln
@@ -40,7 +40,7 @@ from arrstab.symfunc import (
     schur,
     to_schur,
 )
-from helpers import boundary_columns, chain_index, echelon_mod2, trace_on_chains
+from helpers import boundary_columns, chain_index, cocycle_store, echelon_mod2, trace_on_chains
 from monomial import monomial_expand, schur_decompose
 
 
@@ -165,10 +165,10 @@ def _dense_cycles(hom, j):
 def _cycle_trace(hom, j, cycles, g):
     """Trace of g on the cycles: the coefficient of basis vector k in
     g*k is k at the preimage of its free column."""
-    vmap = hom.vertex_map(g)
+    move = hom.vertex_map(g)
     index = chain_index(hom, j)
     preimage = {
-        index[tuple(vmap[v] for v in s)]: a
+        index[tuple(map(move, s))]: a
         for a, s in enumerate(hom.simplices.get(j, ()))
     }
     return sum(k.get(preimage[f], 0) for f, k in cycles.items())
@@ -244,7 +244,7 @@ def test_trace_reads_basis_entries_at_the_cycle_row():
     expected = {cls[0]: reference.trace(1, cls[0]) for cls in classes_of(rep)}
     hom = IntervalHomology(lat.open_interval(rep))
     assert (hom.dims, hom.lefschetz_degree) == ({1: 10, 2: 10}, 2)
-    echelon, cocycles = hom._essential_cocycles(1)
+    echelon, cocycles = hom._cocycles[1]
     taus = sorted(cocycles)
     mixed = {taus[-1]: cocycles[taus[-1]]}
     for tau, after in zip(taus, taus[1:]):
@@ -291,8 +291,9 @@ def test_lefschetz_trace_matches_reduction():
         multi += len(hom.dims) > 1
         reps = [cls[0] for cls in classes_of(rep)]
         traces = {(j, g): hom.trace(j, g) for j in hom.dims for g in reps}
-        # the Lefschetz degree is traced without building its cocycles
+        # the Lefschetz degree is traced without keeping its cocycles
         assert set(hom._cocycles) == set(hom.dims) - {hom.lefschetz_degree}
+        hom._cocycles[hom.lefschetz_degree] = cocycle_store(hom, hom.lefschetz_degree)
         for (j, g), value in traces.items():
             assert hom._lefschetz_trace(j, g) == hom._reduced_trace(j, g) == value
     assert multi == 3
@@ -432,6 +433,35 @@ def test_torsion_is_certified_over_the_rationals(facets, n):
     assert all(hom.trace(j, tuple(range(n))) == 0 for j in range(-1, hom.top + 1))
 
 
+def test_torsion_pivot_is_subtracted_exactly(monkeypatch):
+    # on this complex the pass subtracts a pivot 2 from another column.
+    # Taken for a unit, it would leave that column other than the
+    # coboundary of its record, and the record of the column in degree
+    # 1 that reduces to zero would not be a cocycle
+    pivots = []
+
+    def spy(p, q):
+        pivots.append(p)
+        return cancel_factors(p, q)
+
+    monkeypatch.setattr("arrstab.oracle.homology.cancel_factors", spy)
+    facets = [
+        (3, 4, 5, 7), (1, 5, 7, 8), (2, 5, 6, 8), (2, 5, 6, 7), (3, 4, 6),
+        (2, 4, 5), (3, 6, 8), (2, 3, 8), (1, 3, 5), (1, 4, 6, 8),
+    ]
+    hom = IntervalHomology(_face_poset(facets, 9))
+    assert any(abs(p) > 1 for p in pivots)
+    assert hom.dims == _integer_dims(hom) == {1: 1}
+    identity = tuple(range(9))
+    assert all(hom.trace(j, identity) == hom.dims.get(j, 0) for j in range(-1, hom.top + 1))
+    for j in hom.dims:
+        for z in cocycle_store(hom, j)[1].values():
+            coboundary = {}
+            for s, value in z.items():
+                combine(1, coboundary, -value, hom._cofaces(s), ())
+            assert coboundary == {}, (j, z)
+
+
 def test_signed_ranks_match_integer_rank_pass():
     # order complexes of the lattices cannot tell signed ranks from
     # unsigned ones; face posets of random complexes on the points 1..7
@@ -477,24 +507,36 @@ def test_mod2_lows_may_be_cleared_over_the_rationals():
 
 
 def test_braid_lattice_needs_no_integer_elimination(monkeypatch):
-    # every interval of the braid lattice has homology in one degree, so
-    # every trace is a Lefschetz trace and no cocycle is built
-    calls = {"cocycles": 0, "IntervalHomology": 0}
-    cocycles, init = IntervalHomology._essential_cocycles, IntervalHomology.__init__
+    # each interval runs one coboundary pass per degree up to its top,
+    # and no trace runs one again: on the braid lattice every interval
+    # has homology in one degree, so every trace is a Lefschetz trace;
+    # on the k=3, n=6 top degree 1 is traced on cocycles
+    passes, tops = 0, []
+    lows, init = IntervalHomology._coboundary_lows, IntervalHomology.__init__
 
-    def counted_cocycles(self, degree):
-        calls["cocycles"] += 1
-        return cocycles(self, degree)
+    def counted_lows(self, *args):
+        nonlocal passes
+        passes += 1
+        return lows(self, *args)
 
     def counted_init(self, vertices):
-        calls["IntervalHomology"] += 1
         init(self, vertices)
+        tops.append(self.top)
 
-    monkeypatch.setattr(IntervalHomology, "_essential_cocycles", counted_cocycles)
+    monkeypatch.setattr(IntervalHomology, "_coboundary_lows", counted_lows)
     monkeypatch.setattr(IntervalHomology, "__init__", counted_init)
     _orbits.cache_clear()
     assert sw_complement_char(5, 2, [Partition((2, 1, 1, 1))], 3)
-    assert calls == {"cocycles": 0, "IntervalHomology": 6}
+    assert len(tops) == 6 and passes == sum(top + 1 for top in tops)
+    lat = build_pi_lambda(6, [Partition((3, 1, 1, 1))])
+    rep = lat.canonical_of_type(Partition((6,)))
+    hom = IntervalHomology(lat.open_interval(rep))
+    assert (hom.dims, hom.lefschetz_degree) == ({1: 10, 2: 10}, 2)
+    for g, _ in stabilizer_classes(rep):
+        for j in range(-1, hom.top + 1):
+            hom.trace(j, g)
+    assert [hom.trace(j, tuple(range(6))) for j in (1, 2)] == [10, 10]
+    assert passes == sum(top + 1 for top in tops)
 
 
 def test_acyclic_interval_has_no_lefschetz_degree():
@@ -781,7 +823,7 @@ def test_vertex_map_matches_relabelled_vertices():
     hom = IntervalHomology(lat.open_interval(rep))
     index = {v: i for i, v in enumerate(hom.vertices)}
     for g in stabilizer(rep):
-        vmap = hom.vertex_map(g)
+        vmap = list(map(hom.vertex_map(g), range(len(hom.vertices))))
         assert vmap == [index[v.apply(g)] for v in hom.vertices]
         assert hom._fixed_vertices(g) == [w == v for v, w in enumerate(vmap)]
 
